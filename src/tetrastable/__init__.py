@@ -7,6 +7,7 @@ are all verified against a direct modular power-tower oracle.
 """
 from .arith import (
     INFINITY,
+    InvariantError,
     digit,
     padic_valuation,
     tetration_mod,
@@ -64,6 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INFINITY",
+    "InvariantError",
     "padic_valuation",
     "tetration_mod",
     "tetration_mod_pow10",

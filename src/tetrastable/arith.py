@@ -1,10 +1,14 @@
 """Exact integer arithmetic under 10^N: p-adic valuations and power towers.
 
 Everything in this module is pure and exact.  Tetration residues are the
-ground truth the closed forms elsewhere in the package are checked against,
-so the implementation is deliberately conservative: exponents are only
-reduced via the generalized Euler rule when the tower provably exceeds
-log2 of the modulus, and small towers are evaluated exactly.
+ground truth the closed forms elsewhere in the package are checked against.
+A tower is reduced modulo p^k one prime power at a time: its exponent (the
+tower one level lower) is evaluated exactly by tower_value_capped, capped at
+p^k itself.  An exponent within the cap goes into pow() as it is; one above
+it is reduced modulo the Carmichael lambda of p^k, recursively, and padded
+back above the bit length of p^k.  The generalized Euler congruence
+certifies that reduction because the true exponent is then at least k (see
+_tower_prime_power).
 """
 from __future__ import annotations
 
@@ -13,17 +17,9 @@ from functools import lru_cache
 
 INFINITY = math.inf
 
-# Exact tower values are tracked until they would exceed this many bits.
-# An unknown (None) tower is then certainly >= 2^(2^15), far above log2 of
-# any supported modulus, which is what the exponent reduction relies on.
-# Towers whose exact decimal length matters (the stable-digit cap) are all
-# far below this: a height >= 2 tower can only be fully frozen when its base
-# has at most a couple of digits.
-_EXACT_BITS = 1 << 16
 
-# Largest modulus (in bits) for which the "exponent unknown => huge" shortcut
-# above stays valid, with an enormous safety margin.
-_MAX_MODULUS_BITS = 1 << 19
+class InvariantError(RuntimeError):
+    """An internal invariant of the package failed: a bug, not a bad input."""
 
 
 def _is_prime(p: int) -> bool:
@@ -154,34 +150,20 @@ def _crt25(r2: int, n2: int, r5: int, n5: int) -> int:
     return r5 + m5 * (((r2 - r5) * _inv5(n2, n5)) % (1 << n2))
 
 
-def _tower_exact(a: int, b: int, memo: dict) -> int | None:
-    # exact height-b tower of a, or None once it outgrows _EXACT_BITS
-    key = ("exact", b)
-    if key in memo:
-        return memo[key]
-    if a == 0:
-        v = 1 if b % 2 == 0 else 0
-    elif a == 1:
-        v = 1
-    elif b == 1:
-        v = a
-    else:
-        prev = _tower_exact(a, b - 1, memo)
-        if prev is None or prev * a.bit_length() > _EXACT_BITS:
-            v = None
-        else:
-            v = a**prev
-    memo[key] = v
-    return v
-
-
 def _tower_prime_power(a: int, b: int, p: int, k: int, memo: dict) -> int:
     """Height-b tower of a modulo p^k for p in {2, 5}.
 
-    The exponent (the height-(b-1) tower) is used exactly while its value is
-    known; once it is provably astronomical it is reduced modulo the
-    Carmichael lambda of p^k and padded back above log2(p^k), which keeps
-    the generalized Euler congruence valid even when p divides a.
+    The exponent E (the height-(b-1) tower) is evaluated exactly up to the
+    cap p^k.  Within the cap, E goes into pow() as it is: it has at most the
+    bit length of p^k, about that of a reduced exponent, and an exponent
+    below k is never reduced.  Above the cap, E is replaced by
+    E' = (E mod lambda) + lambda*ceil(bits/lambda), with lambda the
+    Carmichael lambda of p^k, bits the bit length of p^k, and E mod lambda
+    computed by the same recursion one level down.  Then a^E == a^E'
+    (mod p^k), by the generalized Euler congruence: E == E' (mod lambda),
+    and both exponents are at least k, since E > p^k > k and E' >= bits > k.
+    When p does not divide a, a^lambda == 1 (mod p^k).  When p divides a,
+    both powers are 0 (mod p^k).
     """
     key = (b, p, k)
     if key in memo:
@@ -196,11 +178,9 @@ def _tower_prime_power(a: int, b: int, p: int, k: int, memo: dict) -> int:
     elif a == 1:
         r = 1
     else:
-        bits = m.bit_length()
-        if bits > _MAX_MODULUS_BITS:
-            raise ValueError("modulus too large for certified exponent reduction")
-        e = _tower_exact(a, b - 1, memo)
+        e = tower_value_capped(a, b - 1, m)
         if e is None:
+            bits = m.bit_length()
             l2, l5 = _lambda_step(k, 0) if p == 2 else _lambda_step(0, k)
             lam = (1 << l2) * _pow5(l5)
             e_red = _crt25(

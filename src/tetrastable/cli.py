@@ -4,8 +4,8 @@ Every subcommand prints a human-readable summary by default and a
 deterministic JSON report with --json (stable key order, bases echoed as
 strings so arbitrary-precision inputs survive the round trip).
 
-Exit codes: 0 ok, 1 verification failure, 2 usage/parse error, 3 budget
-exhausted.
+Exit codes: 0 ok, 1 verification failure or violated invariant, 2
+usage/parse error, 3 budget exhausted.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import oracle, speed, stability
+from .arith import InvariantError
 from .decadic import AlphaTag, alpha_digits
 
 EXIT_OK = 0
@@ -207,7 +208,8 @@ def _verify_base(a: int, max_b: int, budget: int) -> tuple[int, list[dict]]:
     check("tier", speed.classify_tier(a) == speed.tier_of(measured), speed.tier_of(measured), speed.classify_tier(a))
     if a >= 2:
         bound = stability.stabilization_bound(a)
-        check("stabilization height bound", seq.stabilized_at <= bound, f"<= {bound}", seq.stabilized_at)
+        ok = seq.stabilized_at is not None and seq.stabilized_at <= bound
+        check("stabilization height bound", ok, f"<= {bound}", seq.stabilized_at)
         for b in range(2, max_b + 1):
             measured_count = seq.frozen_prefix[b - 1]
             if a % 10 in (2, 4, 5, 6, 8):
@@ -217,8 +219,9 @@ def _verify_base(a: int, max_b: int, budget: int) -> tuple[int, list[dict]]:
                 bounds = stability.stable_bounds(a, b)
                 ok = bounds.lower <= measured_count <= bounds.upper
                 check(f"count bounds at b={b}", ok, f"[{bounds.lower}, {bounds.upper}]", measured_count)
-                width_ok = bounds.upper - bounds.lower <= measured + 1
-                check(f"bound width at b={b}", width_ok, f"<= V+1 = {measured + 1}", bounds.upper - bounds.lower)
+                limit = None if measured is None else measured + 1
+                width_ok = limit is not None and bounds.upper - bounds.lower <= limit
+                check(f"bound width at b={b}", width_ok, f"<= V+1 = {limit}", bounds.upper - bounds.lower)
     return checks, failures
 
 
@@ -333,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except oracle.NeedsLargerBudget as exc:
         print(f"error: needs-larger-budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .arith import digit
+from .arith import InvariantError, digit
 
 # (x2, x1) -> coefficients (c1, ce, ct) with alpha = c1 + ce*e5 + ct*t2
 _COMBINATIONS = {
@@ -101,7 +101,7 @@ def _fixed_point(start: int, power: int, n: int) -> int:
         if y == x:
             return x
         x = y
-    raise AssertionError("fixed-point iteration failed to settle")
+    raise InvariantError("fixed-point iteration failed to settle")
 
 
 def _primitive(n: int, which: str) -> int:
@@ -191,4 +191,4 @@ def key_digit(a: int, tag: AlphaTag) -> KeyDigitReport:
             if s_l != a_l:
                 return KeyDigitReport(l=l, s_l=s_l, diff=s_l - a_l, matched_prefix_len=l - 1)
         depth *= 2
-    raise AssertionError(f"no key digit found for {a} against {tag}")
+    raise InvariantError(f"no key digit found for {a} against {tag}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import _tower_exact, _tower_mixed, _v10, decimal_length, tower_value_capped
+from .arith import InvariantError, _tower_mixed, _v10, decimal_length, tower_value_capped
 from .speed import speed_bound
 
 DEFAULT_BUDGET = 8192
@@ -67,8 +67,8 @@ def _counts_at_precision(a: int, heights: int, ndigits: int, memo: dict) -> list
         n = ndigits if diff == 0 else int(_v10(diff))
         if n >= ndigits:
             return None
-        exact = _tower_exact(a, b, memo)
-        if exact is not None and exact < 10**n:
+        exact = tower_value_capped(a, b, 10**n - 1)
+        if exact is not None:
             n = decimal_length(exact)
         counts.append(n)
     return counts
@@ -94,6 +94,8 @@ def stable_digit_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of stable digits of the height-b tower of a."""
     if a < 0 or b < 1:
         raise ValueError("need a >= 0 and b >= 1")
+    if a % 10 == 0 and a > 0:
+        return _trailing_zero_count(a, b, budget)
     return _stable_counts(a, b, budget)[-1]
 
 
@@ -109,7 +111,7 @@ def speed_sequence(a: int, max_b: int, budget: int = DEFAULT_BUDGET) -> SpeedSeq
     counts = _stable_counts(a, max_b, budget)
     entries = [counts[0]] + [counts[i] - counts[i - 1] for i in range(1, max_b)]
     if any(v < 0 for v in entries):
-        raise AssertionError(f"stable digit count decreased for a={a}: {counts}")
+        raise InvariantError(f"stable digit count decreased for a={a}: {counts}")
     stabilized = None
     if a == 0 or a % 10 != 0:
         certify_from = 1 if a == 0 else (2 if a == 1 else speed_bound(a) + 2)
@@ -124,12 +126,17 @@ def speed_sequence(a: int, max_b: int, budget: int = DEFAULT_BUDGET) -> SpeedSeq
 @lru_cache(maxsize=512)
 def _certified_run(a: int, budget: int) -> tuple[tuple[int, ...], int]:
     seq = speed_sequence(a, speed_bound(a) + 3, budget)
-    assert seq.stabilized_at is not None
+    if seq.stabilized_at is None:
+        raise InvariantError(f"stabilization of {a} not certified by height {speed_bound(a) + 3}")
     return tuple(seq.frozen_prefix), seq.stabilized_at
 
 
 def certified_sequence(a: int, budget: int = DEFAULT_BUDGET) -> SpeedSequence:
-    """speed_sequence run just far enough to certify stabilization (cached)."""
+    """speed_sequence run just far enough to certify stabilization (cached).
+
+    stabilized_at and speed are never None: an uncertified run raises
+    InvariantError.
+    """
     if a < 2 or a % 10 == 0:
         raise ValueError("defined for a >= 2 not a multiple of 10")
     counts, stabilized = _certified_run(a, budget)
@@ -143,9 +150,7 @@ def measure_stabilization(a: int, budget: int = DEFAULT_BUDGET) -> int:
         raise ValueError("defined for a >= 1 not a multiple of 10")
     if a == 1:
         return 2
-    stabilized = certified_sequence(a, budget).stabilized_at
-    assert stabilized is not None
-    return stabilized
+    return certified_sequence(a, budget).stabilized_at
 
 
 def measured_speed(a: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -154,9 +159,7 @@ def measured_speed(a: int, budget: int = DEFAULT_BUDGET) -> int:
         return 0
     if a % 10 == 0:
         raise ValueError("undefined for positive multiples of 10")
-    speed = certified_sequence(a, budget).speed
-    assert speed is not None
-    return speed
+    return certified_sequence(a, budget).speed
 
 
 __all__ = [

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import _v2, _v5
+from .arith import INFINITY, InvariantError, _v2, _v5
 from .decadic import AlphaTag, alpha_digit_at, key_digit
 
 # mod-20 residue of the base -> the constant its digits are compared against
@@ -71,7 +71,8 @@ def _apply(rule: tuple[int, int, bool], a: int) -> int:
     p, shift, square = rule
     arg = a * a + 1 if square else a + shift
     v = _v2(arg) if p == 2 else _v5(arg)
-    assert v != float("inf")
+    if v == INFINITY:
+        raise InvariantError(f"{_rule_text(rule)} is infinite at a={a}")
     return int(v)
 
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .arith import _v2, _v5, decimal_length, tower_value_capped
-from .oracle import DEFAULT_BUDGET, SpeedSequence, certified_sequence, stable_digit_count
+from .arith import InvariantError, _v2, _v5, decimal_length, tower_value_capped
+from .oracle import DEFAULT_BUDGET, certified_sequence, stable_digit_count
 from .speed import speed_bound, speed_exact
 
 
@@ -108,16 +108,11 @@ def stable_bounds(a: int, b: int) -> StableCount:
     if b < 2:
         raise ValueError("bounds are stated for b >= 2")
     v = speed_exact(a).speed
-    assert v is not None
+    if v is None:
+        raise InvariantError(f"no closed-form speed for the coprime base {a}")
     if a % 20 in (3, 7):
         return StableCount.bounded((b - 1) * v, b * v + 1, "mod20 in {3,7}: [(b-1)V, bV+1]")
     return StableCount.bounded(b * v, (b + 1) * v, "coprime: [bV, (b+1)V]")
-
-
-def _certified_sequence(a: int, budget: int) -> SpeedSequence:
-    seq = certified_sequence(a, budget)
-    assert seq.stabilized_at is not None
-    return seq
 
 
 def stable_shape(a: int, budget: int = DEFAULT_BUDGET) -> StableShape:
@@ -130,20 +125,19 @@ def stable_shape(a: int, budget: int = DEFAULT_BUDGET) -> StableShape:
     """
     if a < 3 or a % 2 == 0 or a % 5 == 0:
         raise ValueError("defined for a >= 3 coprime to 10")
-    seq = _certified_sequence(a, budget)
+    seq = certified_sequence(a, budget)
     bbar = seq.stabilized_at
     v = seq.speed
-    assert bbar is not None and v is not None
     n1, n2 = seq.frozen_prefix[bbar - 1], seq.frozen_prefix[bbar]
     if a % 20 in (3, 7):
         shape = StableShape.B_MINUS_1_V if seq.entries[1] == v else StableShape.B_V_PLUS_1
         if (n1, n2) != (shape.count_at(bbar, v), shape.count_at(bbar + 1, v)):
-            raise AssertionError(f"shape rule disagrees with measured counts for a={a}")
+            raise InvariantError(f"shape rule disagrees with measured counts for a={a}")
         return shape
     for shape in StableShape:
         if n1 == shape.count_at(bbar, v) and n2 == shape.count_at(bbar + 1, v):
             return shape
-    raise AssertionError(f"no linear shape matches measured counts for a={a}")
+    raise InvariantError(f"no linear shape matches measured counts for a={a}")
 
 
 def stable_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> StableCount:
@@ -161,10 +155,9 @@ def stable_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> StableCount:
             return stable_exact(a, b)
         except FormulaRangeError:
             return StableCount.exact(stable_digit_count(a, b, budget), "oracle (below formula range)")
-    seq = _certified_sequence(a, budget)
+    seq = certified_sequence(a, budget)
     bbar = seq.stabilized_at
     v = seq.speed
-    assert bbar is not None and v is not None
     if b >= bbar:
         prefix = seq.frozen_prefix[bbar - 1]
         return StableCount.exact(prefix + (b - bbar) * v, "stabilized tail: n(bbar) + (b-bbar)V")
@@ -218,10 +211,9 @@ def min_height(a: int, target: int, budget: int = DEFAULT_BUDGET) -> HeightPlan:
         raise ValueError("target must be nonnegative")
     if target == 0:
         return HeightPlan(target=0, height=1)
-    seq = _certified_sequence(a, budget)
+    seq = certified_sequence(a, budget)
     bbar = seq.stabilized_at
     v = seq.speed
-    assert bbar is not None and v is not None
     for b, n in enumerate(seq.frozen_prefix[:bbar], start=1):
         if n >= target:
             return HeightPlan(target=target, height=b)

@@ -100,6 +100,51 @@ class TestTetrationMod:
         assert ladder == fresh
 
 
+def _threshold_cases():
+    """(a, b, n) whose exponent tower(a, b-1) lies just below, at or just above
+    2^n or 5^n, the cap above which the tower mod that prime power reduces it."""
+    cases = set()
+    for n in range(1, 13):
+        for m in (2**n, 5**n):
+            for a in (m - 1, m, m + 1):  # at height 2 the exponent is a
+                cases.add((a, 2, n))
+    for a, b in [(2, 3), (2, 4), (2, 5), (3, 3), (4, 3), (5, 3), (6, 3), (10, 3), (20, 3)]:
+        e = exact_tower(a, b - 1)
+        for p in (2, 5):
+            n = math.floor(math.log(e, p))  # p^n <= e < p^(n+1), up to rounding
+            cases.update((a, b, k) for k in (n - 1, n, n + 1, n + 2) if k >= 1)
+    return sorted(cases)
+
+
+class TestExponentReductionThreshold:
+    """Towers whose exponent sits next to the reduction cap, against pow() with
+    the exact exponent."""
+
+    @pytest.mark.parametrize("a, b, n", _threshold_cases())
+    def test_matches_exact_exponent(self, a, b, n):
+        assert tetration_mod_pow10(a, b, n) == pow(a, exact_tower(a, b - 1), 10**n)
+
+    def test_cases_straddle_the_cap_in_every_divisibility_class(self):
+        # (a divisible by 2, by 5) -> sides of the cap covered at heights >= 3;
+        # only a power of p can have its exponent exactly at a power of p
+        sides = {}
+        for a, b, n in _threshold_cases():
+            e = exact_tower(a, b - 1)
+            for p in (2, 5):
+                if b > 2:
+                    sides.setdefault((a % 2 == 0, a % 5 == 0), set()).add((e > p**n) - (e < p**n))
+        assert sides[(False, False)] == sides[(True, True)] == {-1, 1}
+        assert sides[(True, False)] == sides[(False, True)] == {-1, 0, 1}
+
+    def test_exponent_below_the_prime_power_is_not_reduced(self):
+        # tower(2, 2) = 4 < 10: reducing it modulo lambda(2^10) = 256 and padding
+        # would be wrong, since 2^e == 0 (mod 2^10) only once e >= 10
+        assert tetration_mod_pow10(2, 3, 10) == 16
+        assert tetration_mod_pow10(2, 3, 5) == 16  # e = k - 1
+        assert tetration_mod_pow10(5, 2, 10) == 3125
+        assert tetration_mod_pow10(10, 2, 12) == 10**10
+
+
 class TestDigit:
     def test_reference_values(self):
         assert digit(57, 4) == 0

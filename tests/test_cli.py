@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from tetrastable.cli import main
+from tetrastable import oracle
+from tetrastable.cli import _verify_base, main
 
 
 def run(capsys, *argv):
@@ -81,6 +83,11 @@ class TestSmallCommands:
         code, report, _ = run_json(capsys, "stable", "163574218751", "4")
         assert report["result"]["kind"] == "bounded"
         assert report["result"]["lower"] <= report["result"]["upper"]
+
+    def test_unrepresentable_multiple_of_ten_names_the_requested_height(self, capsys):
+        code, _, err = run(capsys, "stable", "10", "5")
+        assert code != 0
+        assert "height-5 tower of 10" in err
 
     def test_ratio(self, capsys):
         code, report, _ = run_json(capsys, "ratio", "2", "4")
@@ -162,6 +169,17 @@ class TestVerifyCommand:
         _, one, _ = run_json(capsys, "verify", "--range", "2..80", "--max-b", "4")
         _, two, _ = run_json(capsys, "verify", "--range", "2..80", "--max-b", "4", "--workers", "2")
         assert one == two
+
+    def test_uncertified_stabilization_is_a_failed_check(self, monkeypatch):
+        real = oracle.speed_sequence
+
+        def uncertified(*args):
+            return dataclasses.replace(real(*args), stabilized_at=None)
+
+        monkeypatch.setattr(oracle, "speed_sequence", uncertified)
+        _, failures = _verify_base(7, 6, oracle.DEFAULT_BUDGET)
+        assert {"a": "7", "check": "stabilization height bound", "expected": "<= 4", "got": "None"} in failures
+        assert {"a": "7", "check": "bound width at b=2", "expected": "<= V+1 = None", "got": "3"} in failures
 
     def test_rejects_bad_ranges(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -45,6 +45,8 @@ class TestStableDigitCount:
     def test_multiples_of_ten_hit_the_machine_range(self):
         with pytest.raises(NeedsLargerBudget):
             stable_digit_count(20, 3)
+        with pytest.raises(NeedsLargerBudget, match="height-5 tower of 10 "):
+            stable_digit_count(10, 5)
 
     def test_budget_exhaustion_is_loud(self):
         with pytest.raises(NeedsLargerBudget):
