@@ -2,24 +2,34 @@
 
 Everything in this module is pure and exact.  Tetration residues are the
 ground truth the closed forms elsewhere in the package are checked against.
-A tower is reduced modulo p^k one prime power at a time: its exponent (the
-tower one level lower) is evaluated exactly by tower_value_capped, capped at
-p^k itself.  An exponent within the cap goes into pow() as it is; one above
-it is reduced modulo the Carmichael lambda of p^k, recursively, and padded
-back above the bit length of p^k.  The generalized Euler congruence
-certifies that reduction because the true exponent is then at least k (see
-_tower_prime_power).
+A tower is walked bottom-up, one height at a time, modulo 2^d and 5^d
+separately, with one pow() per prime per height (_tower_step).  The
+residues of one height fix the exponent of the next, because
+lambda(2^d) = 2^max(d-2, 1) and lambda(5^d) = 4*5^(d-1).  Two certificates
+make the walk exact:
+
+* generalized Euler: an exponent above p^d (tower_value_capped says when)
+  may be replaced by any exponent of at least d congruent to it modulo
+  lambda(p^d), whether or not p divides the base (_tower_step);
+* fixed point: at d = 2 every step is a function of the two residues, so
+  once they repeat they hold at every greater height (tetration_mod_pow10).
+
+On the way up to its target height, tetration_mod_pow10 gains one power
+of 5 and two powers of 2 per height, as much as lambda loses.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 INFINITY = math.inf
 
 
 class InvariantError(RuntimeError):
     """An internal invariant of the package failed: a bug, not a bad input."""
+
+
+class TowerNotRepresentable(ValueError):
+    """The tower is too tall for an exact digit count to be certified."""
 
 
 def _is_prime(p: int) -> bool:
@@ -116,100 +126,54 @@ def tower_value_capped(a: int, b: int, cap: int) -> int | None:
     return v if v <= cap else None
 
 
-@lru_cache(maxsize=None)
-def _pow5(j: int) -> int:
-    return 5**j
+def _tower_step(a: int, j: int, k2: int, k5: int, x2: int, x5: int) -> tuple[int, int]:
+    """The height-j tower of a modulo 2^k2 and 5^k5 (k2, k5 >= 2), from x2
+    and x5, the height-(j-1) tower modulo 2^c2 and 5^c5 for some
+    c2 >= max(k2 - 2, 2) and c5 >= k5 - 1.
 
-
-@lru_cache(maxsize=4096)
-def _inv5(n2: int, n5: int) -> int:
-    return pow(_pow5(n5), -1, 1 << n2)
-
-
-def _lambda_step(n2: int, n5: int) -> tuple[int, int]:
-    # Carmichael lambda of 2^n2 * 5^n5, itself of the form 2^l2 * 5^l5:
-    # lambda(2^k) = 2^(k-2) for k >= 3 (1, 1, 2 below), lambda(5^k) = 4*5^(k-1).
-    if n2 >= 3:
-        l2 = n2 - 2
-    elif n2 == 2:
-        l2 = 1
-    else:
-        l2 = 0
-    if n5 >= 1:
-        return max(l2, 2), n5 - 1
-    return l2, 0
-
-
-def _crt25(r2: int, n2: int, r5: int, n5: int) -> int:
-    # unique residue mod 2^n2 * 5^n5 from the two prime-power parts
-    if n2 == 0:
-        return r5
-    if n5 == 0:
-        return r2
-    m5 = _pow5(n5)
-    return r5 + m5 * (((r2 - r5) * _inv5(n2, n5)) % (1 << n2))
-
-
-def _tower_prime_power(a: int, b: int, p: int, k: int, memo: dict) -> int:
-    """Height-b tower of a modulo p^k for p in {2, 5}.
-
-    The exponent E (the height-(b-1) tower) is evaluated exactly up to the
-    cap p^k.  Within the cap, E goes into pow() as it is: it has at most the
-    bit length of p^k, about that of a reduced exponent, and an exponent
-    below k is never reduced.  Above the cap, E is replaced by
-    E' = (E mod lambda) + lambda*ceil(bits/lambda), with lambda the
-    Carmichael lambda of p^k, bits the bit length of p^k, and E mod lambda
-    computed by the same recursion one level down.  Then a^E == a^E'
-    (mod p^k), by the generalized Euler congruence: E == E' (mod lambda),
-    and both exponents are at least k, since E > p^k > k and E' >= bits > k.
-    When p does not divide a, a^lambda == 1 (mod p^k).  When p divides a,
-    both powers are 0 (mod p^k).
+    Modulo each p^k the exponent E (the height-(j-1) tower) goes into pow()
+    as it is when tower_value_capped(a, j-1, p^k) knows it.  Otherwise
+    E > p^k and it is replaced by an exponent e >= k with e == E modulo
+    lambda(p^k), read off x2 and x5: lambda(2^k) = 2^max(k-2, 1) divides
+    2^c2, and for lambda(5^k) = 4*5^(k-1), e = r5 + 5^(k-1)*((x2 - r5) mod 4)
+    with r5 = x5 mod 5^(k-1) is E modulo 5^(k-1) and modulo 4, a CRT with no
+    inverse since 5^(k-1) == 1 (mod 4).  Then a^E == a^e (mod p^k) by the
+    generalized Euler congruence: when p does not divide a,
+    a^lambda == 1 (mod p^k); when p divides a, both powers are 0 (mod p^k),
+    because both exponents are at least k.
     """
-    key = (b, p, k)
-    if key in memo:
-        return memo[key]
-    m = (1 << k) if p == 2 else _pow5(k)
-    if m == 1:
-        r = 0
-    elif b == 1:
-        r = a % m
-    elif a == 0:
-        r = (1 if b % 2 == 0 else 0) % m
-    elif a == 1:
-        r = 1
-    else:
-        e = tower_value_capped(a, b - 1, m)
-        if e is None:
-            bits = m.bit_length()
-            l2, l5 = _lambda_step(k, 0) if p == 2 else _lambda_step(0, k)
-            lam = (1 << l2) * _pow5(l5)
-            e_red = _crt25(
-                _tower_prime_power(a, b - 1, 2, l2, memo) if l2 else 0,
-                l2,
-                _tower_prime_power(a, b - 1, 5, l5, memo) if l5 else 0,
-                l5,
-            )
-            e = e_red + lam * ((bits + lam - 1) // lam)
-        r = pow(a, e, m)
-    memo[key] = r
-    return r
-
-
-def _tower_mixed(a: int, b: int, n2: int, n5: int, memo: dict) -> int:
-    """Height-b tower of a modulo 2^n2 * 5^n5 (CRT of the prime-power parts)."""
-    return _crt25(
-        _tower_prime_power(a, b, 2, n2, memo) if n2 else 0,
-        n2,
-        _tower_prime_power(a, b, 5, n5, memo) if n5 else 0,
-        n5,
-    )
+    m2, q5 = 1 << k2, 5 ** (k5 - 1)
+    m5 = 5 * q5
+    e2 = tower_value_capped(a, j - 1, m2)
+    e5 = tower_value_capped(a, j - 1, m5)
+    if e2 is None:
+        lam = 1 << max(k2 - 2, 1)
+        e2 = x2 % lam
+        while e2 < k2:
+            e2 += lam
+    if e5 is None:
+        r5 = x5 % q5
+        e5 = r5 + q5 * ((x2 - r5) % 4)
+        while e5 < k5:
+            e5 += 4 * q5
+    return pow(a, e2, m2), pow(a, e5, m5)
 
 
 def tetration_mod_pow10(a: int, b: int, ndigits: int, memo: dict | None = None) -> int:
     """Height-b tower of a modulo 10^ndigits.
 
-    A memo dict may be shared across calls with the same base to reuse
-    intermediate residues (e.g. when walking consecutive heights).
+    A memo dict shared across calls keeps the last tower computed for each
+    base and precision, so walking consecutive heights costs one step each.
+
+    The walk computes height j modulo 2^max(2, n - 2(b - j)) and
+    5^max(2, n - (b - j)), n = ndigits: its exponent is needed only modulo
+    lambda(2^k) = 2^max(k - 2, 1) and lambda(5^k) = 4*5^(k - 1), which the
+    residues of height j - 1 determine (see _tower_step).  In the flat
+    stretch modulo 4 and 25 it jumps on a fixed point.  There every exponent
+    of a tower of a >= 2 is at least 2, so each step gives what the reduced
+    exponent gives, a function of (x2, x5) alone.  So once a step leaves
+    (x2, x5) unchanged, every greater height in the stretch has the same
+    residues, and the walk skips to the last of them.
     """
     if a < 0:
         raise ValueError("base must be nonnegative")
@@ -217,9 +181,26 @@ def tetration_mod_pow10(a: int, b: int, ndigits: int, memo: dict | None = None) 
         raise ValueError("tower height starts at 1")
     if ndigits < 1:
         raise ValueError("need at least one digit of precision")
-    if memo is None:
-        memo = {}
-    return _tower_mixed(a, b, ndigits, ndigits, memo)
+    if a < 2:  # the towers of 0 alternate and never reach a fixed point
+        return tower_value_capped(a, b, 1) % 10**ndigits
+    n = ndigits
+    last = memo.get((a, n)) if memo is not None else None
+    if last and last[0] <= b:
+        j, x2, x5 = last
+    else:
+        j, x2, x5 = 1, a % (1 << max(n, 2)), a % 5 ** max(n, 2)
+    while j < b:
+        j += 1
+        k5 = max(2, n - (b - j))
+        y2, y5 = _tower_step(a, j, max(2, n - 2 * (b - j)), k5, x2, x5)
+        if k5 == 2 and (y2, y5) == (x2, x5):
+            j = max(j, b - n + 2)
+        x2, x5 = y2, y5
+    if memo is not None:
+        memo[(a, n)] = (b, x2, x5)
+    m2, m5 = 1 << n, 5**n
+    x2, x5 = x2 % m2, x5 % m5
+    return x5 + m5 * ((x2 - x5) * pow(m5, -1, m2) % m2)
 
 
 def tetration_mod(a: int, b: int, modulus: int) -> int:

@@ -12,7 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import InvariantError, _tower_mixed, _v10, decimal_length, tower_value_capped
+from .arith import (
+    InvariantError,
+    TowerNotRepresentable,
+    _tower_step,
+    _v2,
+    _v5,
+    _v10,
+    decimal_length,
+    tower_value_capped,
+)
 from .speed import speed_bound
 
 DEFAULT_BUDGET = 8192
@@ -49,28 +58,33 @@ class SpeedSequence:
         return self.entries[self.stabilized_at - 1]
 
 
-def _trailing_zero_count(a: int, b: int, budget: int) -> int:
+def _trailing_zero_count(a: int, b: int) -> int:
     # multiples of 10: stable digits = trailing zeros of the height-b tower
     e = tower_value_capped(a, b - 1, _MACHINE_RANGE)
     if e is None:
-        raise NeedsLargerBudget(a, b, budget)
+        raise TowerNotRepresentable(f"the height-{b} tower of {a} has too many digits to count")
     return e * int(_v10(a))
 
 
-def _counts_at_precision(a: int, heights: int, ndigits: int, memo: dict) -> list[int] | None:
-    """Capped stable-digit counts for b = 1..heights, or None if ndigits is too small."""
+def _counts_at_precision(a: int, heights: int, ndigits: int) -> list[int] | None:
+    """Capped stable-digit counts for b = 1..heights, or None if ndigits is too small.
+
+    One walk up heights 1..heights+1 modulo 2^ndigits and 5^ndigits: the
+    count at height b is the smaller valuation of T_b - T_(b+1) at the two
+    primes, capped at ndigits.
+    """
+    x2, x5 = a % (1 << ndigits), a % 5**ndigits
     counts = []
     for b in range(1, heights + 1):
-        r1 = _tower_mixed(a, b, ndigits, ndigits, memo)
-        r2 = _tower_mixed(a, b + 1, ndigits, ndigits, memo)
-        diff = r1 - r2
-        n = ndigits if diff == 0 else int(_v10(diff))
+        y2, y5 = _tower_step(a, b + 1, ndigits, ndigits, x2, x5)
+        n = min(ndigits, _v2(x2 - y2), _v5(x5 - y5))
         if n >= ndigits:
             return None
         exact = tower_value_capped(a, b, 10**n - 1)
         if exact is not None:
             n = decimal_length(exact)
         counts.append(n)
+        x2, x5 = y2, y5
     return counts
 
 
@@ -80,10 +94,10 @@ def _stable_counts(a: int, heights: int, budget: int) -> list[int]:
     if a == 1:
         return [1] * heights
     if a % 10 == 0:
-        return [_trailing_zero_count(a, b, budget) for b in range(1, heights + 1)]
+        return [_trailing_zero_count(a, b) for b in range(1, heights + 1)]
     ndigits = _START_DIGITS
     while ndigits <= budget:
-        counts = _counts_at_precision(a, heights, ndigits, {})
+        counts = _counts_at_precision(a, heights, ndigits)
         if counts is not None:
             return counts
         ndigits *= 2
@@ -95,7 +109,7 @@ def stable_digit_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> int:
     if a < 0 or b < 1:
         raise ValueError("need a >= 0 and b >= 1")
     if a % 10 == 0 and a > 0:
-        return _trailing_zero_count(a, b, budget)
+        return _trailing_zero_count(a, b)
     return _stable_counts(a, b, budget)[-1]
 
 

@@ -12,17 +12,13 @@ from fractions import Fraction
 
 import mpmath
 
-from .arith import InvariantError, _v2, _v5, decimal_length, tower_value_capped
+from .arith import InvariantError, TowerNotRepresentable, _v2, _v5, decimal_length, tower_value_capped
 from .oracle import DEFAULT_BUDGET, certified_sequence, stable_digit_count
 from .speed import speed_bound, speed_exact
 
 
 class FormulaRangeError(ValueError):
     """The requested height is below the stated range of the matching formula."""
-
-
-class TowerNotRepresentable(ValueError):
-    """The tower is too tall for an exact digit count to be certified."""
 
 
 @dataclass(frozen=True)

@@ -62,12 +62,46 @@ def trailing_match(x: int, y: int) -> int:
     return n
 
 
+def _tower_below(a: int, b: int, cap: int) -> int | None:
+    """The height-b tower of a when it is below cap, else None."""
+    if a < 2:
+        v = exact_tower(a, b)
+        return v if v < cap else None
+    for h in range(1, b + 1):  # towers of a >= 2 grow with height
+        v = exact_tower(a, h)
+        if v >= cap:
+            return None
+    return v
+
+
+def lambda_tower_mod(a: int, b: int, m: int) -> int:
+    """The height-b tower of a modulo m = 2^x * 5^y, by the textbook recursion.
+
+    With t = max(x, y), an exponent E >= t may be replaced by any e >= t with
+    e == E modulo the Carmichael lambda of m; here e = (E mod lambda) +
+    t*lambda, with E mod lambda from the same recursion.  An exponent below t
+    is used exactly.
+    """
+    x, y = naive_valuation(m, 2), naive_valuation(m, 5)
+    if 2**x * 5**y != m:
+        raise ValueError(f"{m} is not of the form 2^x * 5^y")
+    if b == 1 or m == 1:
+        return a % m
+    t = max(x, y)
+    e = _tower_below(a, b - 1, t)
+    if e is None:
+        lam2 = 2 ** (x - 2) if x >= 3 else (1, 1, 2)[x]
+        lam5 = 4 * 5 ** (y - 1) if y >= 1 else 1
+        lam = math.lcm(lam2, lam5)
+        e = lambda_tower_mod(a, b - 1, lam) + t * lam
+    return pow(a, e, m)
+
+
 def brute_stable_count(a: int, b: int, ndigits: int = 256) -> int:
     """Stable digits of the height-b tower via raw pow ladders, length-capped.
 
-    Independent of the package: reduces exponents by walking pow() with the
-    full integer exponent whenever the tower fits, else works modulo 10^n
-    with a plain lambda chain written out longhand.
+    Independent of the package: every tower goes through pow() with its
+    exact integer exponent, so only towers whose exponent fits are usable.
     """
     m = 10**ndigits
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -13,7 +14,7 @@ from tetrastable.arith import (
     tower_value_capped,
 )
 
-from support import exact_tower, naive_valuation
+from support import exact_tower, lambda_tower_mod, naive_valuation
 
 
 class TestPadicValuation:
@@ -98,6 +99,35 @@ class TestTetrationMod:
         ladder = [tetration_mod_pow10(7, b, 32, memo) for b in range(1, 7)]
         fresh = [tetration_mod_pow10(7, b, 32) for b in range(1, 7)]
         assert ladder == fresh
+
+    def test_tall_tower_needs_no_recursion(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            r = tetration_mod_pow10(3, 300, 300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert r == lambda_tower_mod(3, 300, 10**300)
+
+    def test_fixed_point_jump(self):
+        # a million heights cost a walk to the fixed point modulo 4 and 25 and 198 steps up
+        for a in (2, 3, 163574218751):
+            assert tetration_mod_pow10(a, 10**6, 200) == lambda_tower_mod(a, 10**6, 10**200)
+
+
+_LAMBDA_BASES = list(range(61)) + [99, 100, 125, 128, 1000, 2**20, 5**9, 163574218751]
+
+
+class TestAgainstLambdaChain:
+    """tetration_mod_pow10 against the textbook recursion of tests/support.py,
+    with heights far above the precision so the rising schedule and the jump
+    on a fixed point both run."""
+
+    @pytest.mark.parametrize("a", _LAMBDA_BASES)
+    def test_matches_textbook_recursion(self, a):
+        for b in list(range(1, 13)) + [40, 300]:
+            for n in (1, 2, 3, 4, 5, 7, 10, 16, 25, 40):
+                assert tetration_mod_pow10(a, b, n) == lambda_tower_mod(a, b, 10**n), (b, n)
 
 
 def _threshold_cases():

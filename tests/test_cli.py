@@ -86,7 +86,7 @@ class TestSmallCommands:
 
     def test_unrepresentable_multiple_of_ten_names_the_requested_height(self, capsys):
         code, _, err = run(capsys, "stable", "10", "5")
-        assert code != 0
+        assert code == 2
         assert "height-5 tower of 10" in err
 
     def test_ratio(self, capsys):

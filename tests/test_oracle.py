@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tetrastable.arith import TowerNotRepresentable
 from tetrastable.oracle import (
     NeedsLargerBudget,
     certified_sequence,
@@ -43,9 +44,9 @@ class TestStableDigitCount:
         assert stable_digit_count(300, 2) == 600
 
     def test_multiples_of_ten_hit_the_machine_range(self):
-        with pytest.raises(NeedsLargerBudget):
+        with pytest.raises(TowerNotRepresentable):
             stable_digit_count(20, 3)
-        with pytest.raises(NeedsLargerBudget, match="height-5 tower of 10 "):
+        with pytest.raises(TowerNotRepresentable, match="height-5 tower of 10 "):
             stable_digit_count(10, 5)
 
     def test_budget_exhaustion_is_loud(self):
