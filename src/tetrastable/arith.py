@@ -96,8 +96,19 @@ def digit(a: int, j: int) -> int:
 
 
 def decimal_length(n: int) -> int:
-    """Number of decimal digits of n >= 0 (1 for n = 0)."""
-    return len(str(n)) if n > 0 else 1
+    """Number of decimal digits of n >= 0 (1 for n = 0), without str().
+
+    2^(bits-1) <= n gives the estimate k <= log10(n); powers of ten correct it.
+    """
+    if n < 10:
+        return 1
+    k = int((n.bit_length() - 1) * 0.30102999566398120)
+    p = 10**k
+    while p > n:
+        k, p = k - 1, p // 10
+    while p * 10 <= n:
+        k, p = k + 1, p * 10
+    return k + 1
 
 
 def tower_value_capped(a: int, b: int, cap: int) -> int | None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import oracle, speed, stability
 from .arith import InvariantError
@@ -246,6 +245,8 @@ def cmd_verify(args) -> int:
     chunks = [(start, min(start + chunk_size - 1, hi), args.max_b, args.budget)
               for start in range(lo, hi + 1, chunk_size)]
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_verify_chunk, chunks))
     else:
@@ -333,8 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # bases and digit strings of any length: lift the int<->str limit for this call only
+    str_digits_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except InvariantError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)
@@ -345,6 +349,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, stability.TowerNotRepresentable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(str_digits_limit)
 
 
 if __name__ == "__main__":

@@ -2,20 +2,36 @@
 
 Two primitive limits generate everything:
 
-    e5 = lim 5^(2^n)   (the nontrivial idempotent, tail ...890625)
-    t2 = lim 2^(5^n)   (tail ...186432)
+    e5 = lim 5^(2^k)   (the nontrivial idempotent, tail ...890625)
+    t2 = lim 2^(5^k)   (tail ...186432)
+
+Both have closed forms modulo 10^n, split by the CRT into 2^n and 5^n:
+
+* e5 is 1 mod 2^n and 0 mod 5^n, so e5 = 5^n * (5^-n mod 2^n) (_e5).
+  Once 2^k >= n, 5^(2^k) is 0 mod 5^n; once k >= n-2 it is 1 mod 2^n,
+  because the order of 5 modulo 2^n divides 2^max(n-2, 0).  So the sequence
+  is constant mod 10^n from there on, and equal to this CRT value.
+* t2 is 0 mod 2^n, and mod 5^n it is the root of y^4 = 1 that is 2 mod 5,
+  the Teichmueller lift of 2 (_t2).  Once 5^k >= n, 2^(5^k) is 0 mod 2^n.
+  Mod 5^(k+1), x = 2^(5^k) has x^4 = 2^(4*5^k) = 1 (Euler) and x = 2 mod 5
+  (Fermat).  The derivative 4y^3 of y^4 - 1 is a unit mod 5, so by Hensel's
+  lemma that root is unique mod every 5^j, and x is it mod 5^(k+1).
+  Newton's step y -> y - y*(y^4 - 1)/4 finds it: y stands for y^-3, which
+  it equals wherever y^4 = 1, so each step doubles the digits.
 
 Every solution of y^5 = y in the 10-adic integers is an integer combination
 of 1, e5 and t2; the table below lists all fifteen, indexed by their last
 two digits.  Note the combination for alpha_51 is 1 - 2*e5 (its printed
 tail ...218751 confirms this; 1 - 2*t2 does not solve y^5 = y).
+
+A base agrees with a constant in its last j digits exactly when 10^j divides
+their difference, so key_digit reads the first disagreement off a valuation.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
-from .arith import InvariantError, digit
+from .arith import InvariantError, _v10, decimal_length, digit
 
 # (x2, x1) -> coefficients (c1, ce, ct) with alpha = c1 + ce*e5 + ct*t2
 _COMBINATIONS = {
@@ -88,44 +104,20 @@ class KeyDigitReport:
     matched_prefix_len: int
 
 
-_lock = threading.Lock()
-_e5_state: tuple[int, int] = (1, 5)  # (depth, value)
-_t2_state: tuple[int, int] = (1, 2)
-
-
-def _fixed_point(start: int, power: int, n: int) -> int:
-    m = 10**n
-    x = start % m
-    for _ in range(n + 8):
-        y = pow(x, power, m)
-        if y == x:
-            return x
-        x = y
-    raise InvariantError("fixed-point iteration failed to settle")
-
-
-def _primitive(n: int, which: str) -> int:
-    global _e5_state, _t2_state
-    with _lock:
-        depth, value = _e5_state if which == "e5" else _t2_state
-        if n <= depth:
-            return value % 10**n
-        target = max(n, 2 * depth)
-        if which == "e5":
-            fresh = _fixed_point(5, 2, target)
-            _e5_state = (target, fresh)
-        else:
-            fresh = _fixed_point(2, 5, target)
-            _t2_state = (target, fresh)
-        return fresh % 10**n
-
-
 def _e5(n: int) -> int:
-    return _primitive(n, "e5")
+    m5 = 5**n
+    return m5 * pow(m5, -1, 1 << n)
 
 
 def _t2(n: int) -> int:
-    return _primitive(n, "t2")
+    # Newton for y^4 = 1 from y = 2 (mod 5); y^-3 = y wherever y^4 = 1
+    y, k = 2, 1
+    while k < n:
+        k = min(2 * k, n)
+        m = 5**k
+        y = (y - y * (pow(y, 4, m) - 1) * pow(4, -1, m)) % m
+    m5 = 5**n
+    return (y * pow(1 << n, -1, m5) % m5) << n
 
 
 def idempotent_e5(n: int) -> str:
@@ -175,20 +167,23 @@ def key_digit(a: int, tag: AlphaTag) -> KeyDigitReport:
 
     The base is read with implied leading zeros, so when a agrees with the
     constant through its full length the search continues until one of the
-    implied zeros meets a nonzero digit of the constant.
+    implied zeros meets a nonzero digit of the constant.  Depths 32, 64, ...
+    are probed up to 4*len(a) + 64 digits.
     """
     if a < 2:
         raise ValueError("base must be >= 2")
     if a % 10 != tag.x1:
         raise ValueError(f"base ends in {a % 10}, {tag} ends in {tag.x1}")
-    s = str(a)
-    depth = len(s) + 2
-    while depth <= 4 * len(s) + 64:
-        alpha = alpha_digits(tag, depth).digits
-        for l in range(2, depth + 1):
-            s_l = int(s[-l]) if l <= len(s) else 0
-            a_l = int(alpha[-l])
-            if s_l != a_l:
-                return KeyDigitReport(l=l, s_l=s_l, diff=s_l - a_l, matched_prefix_len=l - 1)
+    limit = 4 * decimal_length(a) + 64
+    depth = 32
+    while True:
+        depth = min(depth, limit)
+        alpha = alpha_value(tag, depth)
+        diff = (a - alpha) % 10**depth
+        if diff:
+            l = int(_v10(diff)) + 1
+            s_l = digit(a, l)
+            return KeyDigitReport(l=l, s_l=s_l, diff=s_l - digit(alpha, l), matched_prefix_len=l - 1)
+        if depth == limit:
+            raise InvariantError(f"no key digit found for {a} against {tag}")
         depth *= 2
-    raise InvariantError(f"no key digit found for {a} against {tag}")

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import mpmath
-
 from .arith import InvariantError, TowerNotRepresentable, _v2, _v5, decimal_length, tower_value_capped
 from .oracle import DEFAULT_BUDGET, certified_sequence, stable_digit_count
 from .speed import speed_bound, speed_exact
@@ -164,6 +162,8 @@ def stable_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> StableCount:
 
 def _certified_digit_count(a: int, e: int) -> int:
     # digits of a^e = floor(e*log10(a)) + 1, certified by interval arithmetic
+    import mpmath
+
     iv = mpmath.iv
     prec = 64
     while prec <= 1 << 16:

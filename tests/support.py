@@ -2,7 +2,9 @@
 
 Nothing here goes through the production tower evaluator or the combination
 table: valuations are naive division loops, towers are exact integers, and
-the fifth-power fixed points are enumerated by branch-and-prune lifting.
+the fifth-power fixed points are enumerated by branch-and-prune lifting,
+iterated to a fixed point, or built by the CRT from their 2-adic and 5-adic
+roots.
 """
 from __future__ import annotations
 
@@ -119,6 +121,52 @@ def brute_stable_count(a: int, b: int, ndigits: int = 256) -> int:
     assert n < ndigits
     exact = exact_tower(a, b)
     return min(n, len(str(exact)))
+
+
+def fixed_point_constant(start: int, power: int, n: int) -> int:
+    """The limit of start^(power^k) mod 10^n, by applying x -> x^power until it settles.
+
+    fixed_point_constant(5, 2, n) is e5 and fixed_point_constant(2, 5, n) is t2.
+    """
+    m = 10**n
+    x = start % m
+    for _ in range(n + 8):
+        y = pow(x, power, m)
+        if y == x:
+            return x
+        x = y
+    raise AssertionError("fixed-point iteration failed to settle")
+
+
+def crt_fifth_power_root(label: str, n: int) -> int:
+    """The 10-adic solution of y^5 = y ending in label, mod 10^n, built by the CRT.
+
+    Over the 2-adic integers y^5 = y has the roots 0, 1 and -1, told apart by
+    the label mod 4.  Over the 5-adic integers its roots are 0 and the lifts
+    r^(5^(n-1)) mod 5^n of r = 1..4, told apart by the label mod 5.
+    """
+    t = int(label)
+    m2, m5 = 2**n, 5**n
+    y2 = {0: 0, 1: 1, 3: -1}[t % 4] % m2
+    y5 = pow(t % 5, 5 ** (n - 1), m5)
+    return y5 + m5 * ((y2 - y5) * pow(m5, -1, m2) % m2)
+
+
+def scan_key_digit(a: int, label: str) -> tuple[int, int, int]:
+    """(l, s_l, diff) of the first digit l >= 2 where a, read with implied
+    leading zeros, differs from the solution ending in label: a digit-by-digit
+    string scan at doubling depths."""
+    s = str(a)
+    depth = len(s) + 2
+    while depth <= 4 * len(s) + 64:
+        alpha = str(crt_fifth_power_root(label, depth)).rjust(depth, "0")
+        for l in range(2, depth + 1):
+            s_l = int(s[-l]) if l <= len(s) else 0
+            a_l = int(alpha[-l])
+            if s_l != a_l:
+                return l, s_l, s_l - a_l
+        depth *= 2
+    raise AssertionError(f"no key digit found for {a} against {label}")
 
 
 def enumerate_fifth_power_fixed_points(max_depth: int) -> list[list[int]]:

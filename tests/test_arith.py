@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tetrastable.arith import (
     INFINITY,
+    decimal_length,
     digit,
     padic_valuation,
     tetration_mod,
@@ -63,6 +64,10 @@ class TestTetrationMod:
     def test_rejects_height_zero(self):
         with pytest.raises(ValueError):
             tetration_mod(2, 0, 10**5)
+
+    def test_modulus_past_the_str_digits_limit(self):
+        want = pow(3, 3**27, 10**5000)
+        assert tetration_mod(3, 4, 10**5000) == want == tetration_mod_pow10(3, 4, 5000)
 
     @pytest.mark.parametrize("modulus", [0, 1, 7, 50, 10**6 + 1])
     def test_rejects_non_power_of_ten_modulus(self, modulus):
@@ -193,6 +198,31 @@ class TestDigit:
     def test_reassembles_the_number(self, a):
         total = sum(digit(a, j) * 10 ** (j - 1) for j in range(1, 20))
         assert total == a
+
+
+class TestDecimalLength:
+    def test_matches_str_around_powers_of_ten(self):
+        assert decimal_length(0) == len(str(0))
+        for k in range(1, 401):
+            for n in (10**k - 1, 10**k, 10**k + 1):
+                assert decimal_length(n) == len(str(n))
+
+    @given(n=st.integers(0, 10**1000))
+    def test_matches_str(self, n):
+        assert decimal_length(n) == len(str(n))
+
+    @pytest.mark.parametrize("k", [4300, 4301, 5000, 12345])
+    def test_past_the_str_digits_limit(self, k):
+        assert decimal_length(10**k - 1) == k
+        assert decimal_length(10**k) == k + 1
+        assert decimal_length(7 * 10**k + 3) == k + 1
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            n = 3**k * 10 // 7
+            assert decimal_length(n) == len(str(n))
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestTowerValueCapped:

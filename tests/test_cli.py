@@ -1,10 +1,16 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tetrastable import oracle
+import tetrastable
+from tetrastable import cli, oracle
 from tetrastable.cli import _verify_base, main
+from tetrastable.speed import speed_mod20
 
 
 def run(capsys, *argv):
@@ -185,3 +191,55 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--range", "9..2"])
         assert exc.value.code == 2
+
+
+def _digits_to_int(digits: str) -> int:
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(digits)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestPastTheStrDigitsLimit:
+    @pytest.mark.parametrize("ending", ["51", "37"])
+    def test_speed_of_a_5000_digit_base(self, capsys, ending):
+        text = "3" + "1234567890" * 499 + "7" + ending
+        code, report, _ = run_json(capsys, "speed", text)
+        assert code == 0
+        assert report["inputs"] == {"a": text}
+        assert report["result"]["agreement"] is True
+        assert report["result"]["speed"] == speed_mod20(_digits_to_int(text)).speed
+
+    def test_alpha_to_5000_digits(self, capsys):
+        code, report, _ = run_json(capsys, "alpha", "51", "5000")
+        assert code == 0
+        digits = report["result"]["digits"]
+        assert len(digits) == 5000 and digits.endswith("218751")
+        y, m = _digits_to_int(digits), 10**5000
+        assert pow(y, 5, m) == y
+
+    def test_limit_is_restored(self, capsys, monkeypatch):
+        before = sys.get_int_max_str_digits()
+        assert run(capsys, "alpha", "51", "17")[0] == 0
+        assert sys.get_int_max_str_digits() == before
+        with pytest.raises(SystemExit):
+            main(["speed", "abc"])
+        assert sys.get_int_max_str_digits() == before
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_speed", broken)
+        with pytest.raises(RuntimeError):
+            main(["speed", "51"])
+        assert sys.get_int_max_str_digits() == before
+
+
+def test_import_stays_light():
+    src = str(Path(tetrastable.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, tetrastable.cli; print(sorted({'mpmath', 'concurrent.futures.process'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

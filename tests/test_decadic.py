@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tetrastable import decadic
+from tetrastable.arith import InvariantError
 from tetrastable.decadic import (
     ALPHA_TAGS,
     AlphaTag,
@@ -13,7 +17,14 @@ from tetrastable.decadic import (
     two_tower_t2,
 )
 
-from support import PRINTED_ALPHA, enumerate_fifth_power_fixed_points, true_fixed_points
+from support import (
+    PRINTED_ALPHA,
+    crt_fifth_power_root,
+    enumerate_fifth_power_fixed_points,
+    fixed_point_constant,
+    scan_key_digit,
+    true_fixed_points,
+)
 
 tags = st.sampled_from(ALPHA_TAGS)
 
@@ -46,6 +57,29 @@ class TestPrimitives:
             idempotent_e5(0)
         with pytest.raises(ValueError):
             two_tower_t2(0)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("depths", [range(1, 301), [1000], [2048], [4300]], ids=["1-300", "1000", "2048", "4300"])
+    def test_match_the_fixed_point_iteration(self, depths):
+        for n in depths:
+            assert idempotent_e5(n) == str(fixed_point_constant(5, 2, n)).rjust(n, "0")
+            assert two_tower_t2(n) == str(fixed_point_constant(2, 5, n)).rjust(n, "0")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 777])
+    def test_all_fifteen_match_the_crt_roots(self, n):
+        for tag in ALPHA_TAGS:
+            assert alpha_value(tag, n) == crt_fifth_power_root(tag.label, n)
+
+    def test_fixed_at_depth_ten_thousand(self):
+        n = 10_000
+        m = 10**n
+        e5 = alpha_value(AlphaTag(2, 5), n)
+        t2 = alpha_value(AlphaTag(3, 2), n)
+        assert e5 * e5 % m == e5
+        assert pow(t2, 5, m) == t2
+        assert e5 % 2**n == 1 and e5 % 5**n == 0
+        assert t2 % 2**n == 0 and t2 % 5 == 2
 
 
 class TestAlphaDigits:
@@ -151,3 +185,37 @@ class TestKeyDigit:
         for j in range(1, r.l):
             a_digit = (a // 10 ** (j - 1)) % 10
             assert a_digit == int(alpha[-j])
+
+    @pytest.mark.parametrize("tag", ALPHA_TAGS, ids=str)
+    def test_matches_the_string_scan(self, tag):
+        # bases agreeing with the constant in their last L digits and then
+        # anything, and bare truncations, whose implied zeros continue the search
+        rng = random.Random(tag.label)
+        for L in list(range(1, 81)) + [150, 300, 1000]:
+            alpha = crt_fifth_power_root(tag.label, L + 1)
+            head = alpha % 10**L
+            high = rng.randrange(10 ** rng.randint(1, 40))
+            for a in (head + 10**L * high, head):
+                if a < 2:
+                    continue
+                r = key_digit(a, tag)
+                assert (r.l, r.s_l, r.diff) == scan_key_digit(a, tag.label)
+                assert r.matched_prefix_len == r.l - 1
+
+    def test_search_reaches_four_lengths_plus_64_and_no_further(self, monkeypatch):
+        # a stand-in constant that agrees with 51 up to a lone 1 at position p
+        for p in (40, 72, 73):
+            monkeypatch.setattr(decadic, "alpha_value", lambda tag, n, p=p: (51 + 10 ** (p - 1)) % 10**n)
+            if p <= 4 * 2 + 64:
+                r = key_digit(51, AlphaTag(5, 1))
+                assert (r.l, r.s_l, r.diff) == (p, 0, -1)
+            else:
+                with pytest.raises(InvariantError):
+                    key_digit(51, AlphaTag(5, 1))
+
+    def test_bases_past_the_str_digits_limit(self):
+        a = 7 * 10**5000 + alpha_value(AlphaTag(5, 1), 40)
+        r = key_digit(a, AlphaTag(5, 1))
+        assert (r.l, r.s_l, r.diff) == scan_key_digit(alpha_value(AlphaTag(5, 1), 40), "51")
+        r = key_digit(10**5000 + 51, AlphaTag(5, 1))
+        assert (r.l, r.s_l, r.diff) == (3, 0, -7)
