@@ -3,10 +3,9 @@
 Everything in this module is pure and exact.  Tetration residues are the
 ground truth the closed forms elsewhere in the package are checked against.
 A tower is walked bottom-up, one height at a time, modulo 2^d and 5^d
-separately, with one pow() per prime per height (_tower_step).  The
-residues of one height fix the exponent of the next, because
-lambda(2^d) = 2^max(d-2, 1) and lambda(5^d) = 4*5^(d-1).  Two certificates
-make the walk exact:
+separately.  The residues of one height fix the exponent of the next,
+because lambda(2^d) = 2^max(d-2, 1) and lambda(5^d) = 4*5^(d-1).  Two
+certificates make the pow() step exact:
 
 * generalized Euler: an exponent above p^d (tower_value_capped says when)
   may be replaced by any exponent of at least d congruent to it modulo
@@ -16,10 +15,38 @@ make the walk exact:
 
 On the way up to its target height, tetration_mod_pow10 gains one power
 of 5 and two powers of 2 per height, as much as lambda loses.
+
+The oracle's walk (oracle._tower_walk) may instead take a step by the p-adic
+exponential, T_(b+2) = T_(b+1) * a^D with D = T_(b+1) - T_b.  Its
+certificate (Koblitz, p-adic Numbers, ch. IV):
+
+* exp(m log u) = u^m for every integer m >= 0 and every principal unit u
+  (u == 1 mod p, and mod 4 when p = 2).  With p not dividing a and q = 4 at
+  p = 5, q = 2 at p = 2, u = a^q is one, so a^D = exp(D log(u)/q) whenever
+  q divides D (_unit_log).  exp(x + y) = exp(x) exp(y) and
+  exp(y) == 1 (mod p^v_p(y)), so exp(x) mod p^n needs x only mod p^n.
+* Legendre: v_p(k!) = (k - s_p(k))/(p-1) <= (k-1)/(p-1), s_p the digit sum.
+  So the term x^k/k! has valuation at least k*v - (k-1)/(p-1) when
+  v_p(x) >= v > 1/(p-1), which grows with k, and every term past K is 0
+  mod p^n once (K+1)*v - K/(p-1) >= n.  _padic_exp sums exactly the terms
+  0..K for the least such K (_exp_terms).  None can go: when K is a power
+  of p, v_p(x) = v >= 2 and n = K*v - (K-1)/(p-1) + 1, term K has
+  valuation n - 1.
+* Guard digits: Horner's rule sums x^k * K!/k!, an integer, modulo
+  p^(n+e) with e = v_p(K!) <= (K-1)/(p-1); the sum is K! exp(x) up to the
+  dropped terms, so it divides exactly by p^e, which leaves n digits, and
+  the unit K!/p^e is inverted modulo p^n.
+* log(u) = log(u^(p^j))/p^j, and v_p(u^(p^j) - 1) = v_p(u - 1) + j, so the
+  series sum of (-1)^(k+1) z^k/k in z = u^(p^j) - 1 needs fewer terms.  Its
+  term k has valuation at least k*w - floor(log_p k) with w = v_p(z),
+  which does not fall as k grows, and dividing by k loses at most
+  floor(log_p K) digits, the guard of _padic_log.
 """
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 
 INFINITY = math.inf
 
@@ -54,16 +81,7 @@ def padic_valuation(d: int, p: int) -> int | float:
     """
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if d == 0:
-        return INFINITY
-    d = abs(d)
-    if p == 2:
-        return ((d & -d).bit_length()) - 1
-    q = 0
-    while d % p == 0:
-        d //= p
-        q += 1
-    return q
+    return _v2(d) if p == 2 else _vp(d, p)
 
 
 def _v2(d: int) -> int | float:
@@ -73,19 +91,48 @@ def _v2(d: int) -> int | float:
     return (d & -d).bit_length() - 1
 
 
-def _v5(d: int) -> int | float:
+def _vp(d: int, p: int) -> int | float:
+    # divide out p, p^2, p^4, ... while they divide, then the same powers
+    # downwards: O(log v) big divisions, not one per power of p
     if d == 0:
         return INFINITY
     d = abs(d)
-    q = 0
-    while d % 5 == 0:
-        d //= 5
-        q += 1
-    return q
+    if d % p:
+        return 0
+    powers = []
+    while True:
+        q, r = divmod(d, p)
+        if r:
+            break
+        d = q
+        powers.append(p)
+        p *= p
+    v = (1 << len(powers)) - 1
+    for i in range(len(powers) - 1, -1, -1):
+        q, r = divmod(d, powers[i])
+        if not r:
+            d = q
+            v += 1 << i
+    return v
+
+
+def _v5(d: int) -> int | float:
+    return _vp(d, 5)
 
 
 def _v10(d: int) -> int | float:
     return min(_v2(d), _v5(d))
+
+
+@contextmanager
+def _no_str_digits_limit():
+    """Lift CPython's limit on int <-> str conversion, restoring it on exit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def digit(a: int, j: int) -> int:
@@ -137,37 +184,103 @@ def tower_value_capped(a: int, b: int, cap: int) -> int | None:
     return v if v <= cap else None
 
 
-def _tower_step(a: int, j: int, k2: int, k5: int, x2: int, x5: int) -> tuple[int, int]:
-    """The height-j tower of a modulo 2^k2 and 5^k5 (k2, k5 >= 2), from x2
-    and x5, the height-(j-1) tower modulo 2^c2 and 5^c5 for some
-    c2 >= max(k2 - 2, 2) and c5 >= k5 - 1.
+def _tower_step(a: int, j: int, p: int, k: int, x2: int, x5: int) -> int:
+    """The height-j tower of a modulo p^k (p = 2 or 5, k >= 2), from x2 and
+    x5, the height-(j-1) tower modulo 2^c2 and 5^c5 for some c2 >= max(k - 2, 2)
+    and, when p = 5, c5 >= k - 1.
 
-    Modulo each p^k the exponent E (the height-(j-1) tower) goes into pow()
-    as it is when tower_value_capped(a, j-1, p^k) knows it.  Otherwise
-    E > p^k and it is replaced by an exponent e >= k with e == E modulo
-    lambda(p^k), read off x2 and x5: lambda(2^k) = 2^max(k-2, 1) divides
-    2^c2, and for lambda(5^k) = 4*5^(k-1), e = r5 + 5^(k-1)*((x2 - r5) mod 4)
-    with r5 = x5 mod 5^(k-1) is E modulo 5^(k-1) and modulo 4, a CRT with no
+    The exponent E (the height-(j-1) tower) goes into pow() as it is when
+    tower_value_capped(a, j-1, p^k) knows it.  Otherwise E > p^k and it is
+    replaced by an exponent e >= k with e == E modulo lambda(p^k), read off
+    x2 and x5: lambda(2^k) = 2^max(k-2, 1) divides 2^c2, and for
+    lambda(5^k) = 4*5^(k-1), e = r5 + 5^(k-1)*((x2 - r5) mod 4) with
+    r5 = x5 mod 5^(k-1) is E modulo 5^(k-1) and modulo 4, a CRT with no
     inverse since 5^(k-1) == 1 (mod 4).  Then a^E == a^e (mod p^k) by the
     generalized Euler congruence: when p does not divide a,
     a^lambda == 1 (mod p^k); when p divides a, both powers are 0 (mod p^k),
     because both exponents are at least k.
     """
-    m2, q5 = 1 << k2, 5 ** (k5 - 1)
-    m5 = 5 * q5
-    e2 = tower_value_capped(a, j - 1, m2)
-    e5 = tower_value_capped(a, j - 1, m5)
-    if e2 is None:
-        lam = 1 << max(k2 - 2, 1)
-        e2 = x2 % lam
-        while e2 < k2:
-            e2 += lam
-    if e5 is None:
-        r5 = x5 % q5
-        e5 = r5 + q5 * ((x2 - r5) % 4)
-        while e5 < k5:
-            e5 += 4 * q5
-    return pow(a, e2, m2), pow(a, e5, m5)
+    m = 1 << k if p == 2 else 5**k
+    e = tower_value_capped(a, j - 1, m)
+    if e is None:
+        if p == 2:
+            lam = 1 << max(k - 2, 1)
+            e = x2 % lam
+        else:
+            q5 = 5 ** (k - 1)
+            r5 = x5 % q5
+            e, lam = r5 + q5 * ((x2 - r5) % 4), 4 * q5
+        while e < k:
+            e += lam
+    if e >= k and a % p == 0:
+        return 0
+    return pow(a, e, m)
+
+
+def _legendre(k: int, p: int) -> int:
+    # v_p(k!) = sum of k // p^i
+    e, q = 0, p
+    while q <= k:
+        e, q = e + k // q, q * p
+    return e
+
+
+def _log_floor(k: int, p: int) -> int:
+    # floor(log_p k) for k >= 1
+    f = 0
+    while k >= p:
+        k, f = k // p, f + 1
+    return f
+
+
+def _exp_terms(v: int, n: int, p: int) -> int:
+    """Least K with (K+1)*v - K/(p-1) >= n: exp needs the terms 0..K mod p^n."""
+    return max(0, -(-(n - v) * (p - 1) // (v * (p - 1) - 1)))
+
+
+def _padic_exp(x: int, v: int | float, p: int, n: int) -> int:
+    """exp(x) mod p^n for an integer x with v_p(x) >= v > 1/(p-1)."""
+    if v >= n:
+        return 1
+    k = _exp_terms(v, n, p)
+    e = _legendre(k, p)
+    m = p ** (n + e)
+    t = c = 1  # Horner on sum x^i * k!/i!, with c = k!/(i-1)! (mod p^(n+e))
+    for i in range(k, 0, -1):
+        c = c * i % m
+        t = (t * x + c) % m
+    pe, mn = p**e, p**n
+    return t // pe * pow(c // pe, -1, mn) % mn
+
+
+def _padic_log(u: int, p: int, n: int) -> int:
+    """log(u) mod p^n for u == 1 (mod p), and (mod 4) when p = 2."""
+    j = math.isqrt(n)
+    w = min(_vp(u - 1, p), n) + j  # v_p(u^(p^j) - 1)
+    n += j
+    k = max(0, -(-n // w) - 1)
+    while (k + 1) * w - _log_floor(k + 1, p) < n:
+        k += 1
+    g = _log_floor(k, p)
+    m, mn = p ** (n + g), p**n
+    z = pow(u, p**j, m) - 1
+    s, zi = 0, 1
+    for i in range(1, k + 1):
+        zi = zi * z % m
+        f = _vp(i, p)
+        term = zi // p**f * pow(i // p**f, -1, mn)
+        s += term if i % 2 else -term
+    return s % mn // p**j
+
+
+def _unit_log(a: int, p: int, n: int) -> int:
+    """log(a^q)/q mod p^n, q = 4 at p = 5 and 2 at p = 2, for p not dividing a.
+
+    a^D == exp(D * _unit_log(a, p, n)) (mod p^n) whenever q divides D.
+    """
+    if p == 5:
+        return _padic_log(a**4, 5, n) * pow(4, -1, 5**n) % 5**n
+    return _padic_log(a * a, 2, n + 1) >> 1
 
 
 def tetration_mod_pow10(a: int, b: int, ndigits: int, memo: dict | None = None) -> int:
@@ -203,7 +316,8 @@ def tetration_mod_pow10(a: int, b: int, ndigits: int, memo: dict | None = None) 
     while j < b:
         j += 1
         k5 = max(2, n - (b - j))
-        y2, y5 = _tower_step(a, j, max(2, n - 2 * (b - j)), k5, x2, x5)
+        y2 = _tower_step(a, j, 2, max(2, n - 2 * (b - j)), x2, x5)
+        y5 = _tower_step(a, j, 5, k5, x2, x5)
         if k5 == 2 and (y2, y5) == (x2, x5):
             j = max(j, b - n + 2)
         x2, x5 = y2, y5

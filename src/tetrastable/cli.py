@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import oracle, speed, stability
-from .arith import InvariantError
+from .arith import InvariantError, _no_str_digits_limit
 from .decadic import AlphaTag, alpha_digits
 
 EXIT_OK = 0
@@ -280,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--out", metavar="PATH", help="also write the JSON report to PATH")
         p.add_argument("--budget", type=_positive_int, default=oracle.DEFAULT_BUDGET,
-                       help="digit budget for tower comparisons")
+                       help="largest precision, in digits, the oracle may double up to "
+                            "(it bounds digits, not time)")
 
     p = sub.add_parser("speed", help="constant congruence speed of a base")
     p.add_argument("a", type=_nonneg_int)
@@ -335,22 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     # bases and digit strings of any length: lift the int<->str limit for this call only
-    str_digits_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except InvariantError as exc:
-        print(f"error: invariant violated: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except oracle.NeedsLargerBudget as exc:
-        print(f"error: needs-larger-budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ValueError, stability.TowerNotRepresentable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        sys.set_int_max_str_digits(str_digits_limit)
+    with _no_str_digits_limit():
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except InvariantError as exc:
+            print(f"error: invariant violated: {exc}", file=sys.stderr)
+            return EXIT_VERIFY_FAILED
+        except oracle.NeedsLargerBudget as exc:
+            print(f"error: needs-larger-budget: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except (ValueError, stability.TowerNotRepresentable) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

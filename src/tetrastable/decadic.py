@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import InvariantError, _v10, decimal_length, digit
+from .arith import InvariantError, _no_str_digits_limit, _v10, decimal_length, digit
 
 # (x2, x1) -> coefficients (c1, ce, ct) with alpha = c1 + ce*e5 + ct*t2
 _COMBINATIONS = {
@@ -91,7 +91,8 @@ class AlphaDigits:
 
     @property
     def value(self) -> int:
-        return int(self.digits)
+        with _no_str_digits_limit():
+            return int(self.digits)
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,16 @@ def _t2(n: int) -> int:
     return (y * pow(1 << n, -1, m5) % m5) << n
 
 
+# depths up to _SHALLOW, such as key_digit's first probe, truncate these
+_SHALLOW = 64
+_E5_SHALLOW, _T2_SHALLOW = _e5(_SHALLOW), _t2(_SHALLOW)
+
+
+def _digits(x: int, n: int) -> str:
+    with _no_str_digits_limit():
+        return str(x).rjust(n, "0")
+
+
 def idempotent_e5(n: int) -> str:
     """n trailing digits of lim 5^(2^n), the solution of x^2 = x ending in 5.
 
@@ -127,14 +138,14 @@ def idempotent_e5(n: int) -> str:
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
-    return str(_e5(n)).rjust(n, "0")
+    return _digits(_e5(n), n)
 
 
 def two_tower_t2(n: int) -> str:
     """n trailing digits of lim 2^(5^n)."""
     if n < 1:
         raise ValueError("depth must be >= 1")
-    return str(_t2(n)).rjust(n, "0")
+    return _digits(_t2(n), n)
 
 
 def alpha_value(tag: AlphaTag, n: int) -> int:
@@ -142,6 +153,8 @@ def alpha_value(tag: AlphaTag, n: int) -> int:
         raise ValueError("depth must be >= 1")
     c1, ce, ct = _COMBINATIONS[(tag.x2, tag.x1)]
     m = 10**n
+    if n <= _SHALLOW:
+        return (c1 + ce * _E5_SHALLOW + ct * _T2_SHALLOW) % m
     v = c1
     if ce:
         v += ce * _e5(n)
@@ -152,7 +165,7 @@ def alpha_value(tag: AlphaTag, n: int) -> int:
 
 def alpha_digits(tag: AlphaTag, n: int) -> AlphaDigits:
     """n trailing digits of the chosen solution, most significant left."""
-    return AlphaDigits(tag=tag, n=n, digits=str(alpha_value(tag, n)).rjust(n, "0"))
+    return AlphaDigits(tag=tag, n=n, digits=_digits(alpha_value(tag, n), n))
 
 
 def alpha_digit_at(tag: AlphaTag, l: int) -> int:

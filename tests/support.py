@@ -9,6 +9,7 @@ roots.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 # Trailing digits of the fifteen 10-adic solutions of y^5 = y, keyed by the
 # last-two-digit tag.  Frozen reference data (verified fixed points of x^5).
@@ -42,6 +43,37 @@ def naive_valuation(d: int, p: int) -> int | float:
     return q
 
 
+def _to_residue(q: Fraction, p: int, n: int) -> int:
+    """A p-integral rational modulo p^n."""
+    m = p**n
+    if q.denominator % p == 0:
+        raise ValueError(f"{q} is not {p}-integral")
+    return q.numerator * pow(q.denominator, -1, m) % m
+
+
+def series_exp(x: int, p: int, n: int) -> int:
+    """exp(x) mod p^n for v_p(x) >= 1 (>= 2 when p = 2), from the series in
+    exact rationals, with 2n + 10 terms: term k has valuation at least
+    k - (k-1)/(p-1) (p = 5) or 2k - (k-1) (p = 2), far past n by then."""
+    s, term = Fraction(0), Fraction(1)
+    for k in range(1, 2 * n + 11):
+        s += term
+        term = term * x / k
+    return _to_residue(s, p, n)
+
+
+def series_log(u: int, p: int, n: int) -> int:
+    """log(u) mod p^n for u == 1 mod p (mod 4 when p = 2), from the series in
+    z = u - 1 in exact rationals, with 2n + 20 terms: term k has valuation at
+    least k - log_p(k) (p = 5) or 2k - log_2(k) (p = 2)."""
+    z = u - 1
+    s, zk = Fraction(0), 1
+    for k in range(1, 2 * n + 21):
+        zk *= z
+        s += Fraction((-1) ** (k + 1) * zk, k)
+    return _to_residue(s, p, n)
+
+
 def exact_tower(a: int, b: int) -> int:
     """The height-b tower of a as an exact integer (small inputs only)."""
     if a == 0:
@@ -69,8 +101,11 @@ def _tower_below(a: int, b: int, cap: int) -> int | None:
     if a < 2:
         v = exact_tower(a, b)
         return v if v < cap else None
-    for h in range(1, b + 1):  # towers of a >= 2 grow with height
-        v = exact_tower(a, h)
+    v = 1
+    for _ in range(b):  # towers of a >= 2 grow with height
+        if (a.bit_length() - 1) * v >= cap.bit_length():
+            return None  # a^v >= 2^bitlen(cap) > cap, without computing a^v
+        v = a**v
         if v >= cap:
             return None
     return v
@@ -97,6 +132,48 @@ def lambda_tower_mod(a: int, b: int, m: int) -> int:
         lam = math.lcm(lam2, lam5)
         e = lambda_tower_mod(a, b - 1, lam) + t * lam
     return pow(a, e, m)
+
+
+def pow_walk(a: int, heights: int, ndigits: int) -> list[tuple[int, int]]:
+    """(T_b mod 2^n, T_b mod 5^n) for b = 1..heights, n = ndigits, one pow() per
+    prime per height: the walk the oracle ran before its exp/log step.
+
+    An exponent below n is used exactly; a larger one is replaced by its
+    residue modulo lambda(p^n) plus n*lambda(p^n), the residue modulo
+    lambda(5^n) = 4*5^(n-1) coming from a CRT with an explicit inverse.
+    """
+    n = ndigits
+    m2, m5 = 2**n, 5**n
+    lam2 = 2 ** (n - 2) if n >= 3 else (1, 1, 2)[n]
+    q5 = 5 ** (n - 1)
+    inv = pow(4, -1, q5) if n > 1 else 0
+    walk = [(a % m2, a % m5)]
+    for b in range(2, heights + 1):
+        x2, x5 = walk[-1]
+        e = _tower_below(a, b - 1, n)
+        if e is not None:
+            e2 = e5 = e
+        else:
+            e2 = x2 % lam2 + n * lam2
+            r4 = x2 % 4
+            e5 = (r4 + 4 * ((x5 - r4) * inv % q5)) + n * 4 * q5
+        walk.append((pow(a, e2, m2), pow(a, e5, m5)))
+    return walk
+
+
+def pow_walk_counts(a: int, heights: int, ndigits: int) -> list[int] | None:
+    """Stable-digit counts for b = 1..heights from pow_walk at ndigits, capped by
+    the tower's own length; None when a count reaches ndigits."""
+    walk = pow_walk(a, heights + 1, ndigits)
+    counts = []
+    for b in range(1, heights + 1):
+        (x2, x5), (y2, y5) = walk[b - 1], walk[b]
+        n = min(ndigits, naive_valuation(x2 - y2, 2), naive_valuation(x5 - y5, 5))
+        if n >= ndigits:
+            return None
+        exact = _tower_below(a, b, 10**n)
+        counts.append(n if exact is None else len(str(exact)))
+    return counts
 
 
 def brute_stable_count(a: int, b: int, ndigits: int = 256) -> int:

@@ -1,5 +1,7 @@
 import math
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -7,6 +9,11 @@ from hypothesis import strategies as st
 
 from tetrastable.arith import (
     INFINITY,
+    _exp_terms,
+    _padic_exp,
+    _padic_log,
+    _unit_log,
+    _vp,
     decimal_length,
     digit,
     padic_valuation,
@@ -15,7 +22,7 @@ from tetrastable.arith import (
     tower_value_capped,
 )
 
-from support import exact_tower, lambda_tower_mod, naive_valuation
+from support import exact_tower, lambda_tower_mod, naive_valuation, series_exp, series_log
 
 
 class TestPadicValuation:
@@ -50,6 +57,97 @@ class TestPadicValuation:
     @given(d=st.integers(-10**9, 10**9), p=st.sampled_from([2, 3, 5, 7, 11]))
     def test_agrees_with_naive_loop(self, d, p):
         assert padic_valuation(d, p) == naive_valuation(d, p)
+
+
+_VALUATIONS = sorted({0, 1} | {2**k + s for k in range(1, 12) for s in (-1, 1)} | set(range(3995, 4006)))
+
+
+class TestFastValuation:
+    """Valuations by repeated squaring of p, against one division per power."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_against_naive_division(self, p):
+        rng = random.Random(p)
+        for v in _VALUATIONS:
+            unit = rng.randrange(1, 10**30)
+            unit += unit % p == 0
+            d = p**v * unit
+            assert padic_valuation(d, p) == naive_valuation(d, p) == v
+            assert padic_valuation(-d, p) == v
+            if p != 2:
+                assert _vp(d, p) == v
+
+    def test_zero(self):
+        assert _vp(0, 5) == INFINITY
+
+
+def _fraction_exp_bound(k: int, v: int, p: int) -> Fraction:
+    # lower bound on the valuation of x^k/k! from Legendre
+    return k * v - Fraction(k - 1, p - 1)
+
+
+class TestPadicExpLog:
+    """exp and log over Z_p against their series summed in exact rationals."""
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_exp_matches_the_series(self, p):
+        rng = random.Random(p)
+        for n in (1, 2, 5, 10, 17, 40):
+            for v in range(2 if p == 2 else 1, n + 2):
+                unit = rng.randrange(1, p**n)
+                unit += unit % p == 0
+                x = p**v * unit
+                assert _padic_exp(x % p**n, v, p, n) == series_exp(x, p, n), (n, v)
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_fewest_terms(self, p):
+        for n in range(1, 80):
+            for v in range(2, n + 1):
+                k = _exp_terms(v, n, p)
+                assert _fraction_exp_bound(k + 1, v, p) >= n
+                if k > 0:
+                    assert _fraction_exp_bound(k, v, p) < n
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_dropped_term_of_valuation_n_minus_1(self, p):
+        # summing one term fewer than _exp_terms drops x^K/K! with K = p^j,
+        # whose valuation K*v - v_p(K!) is exactly n - 1 here, so it shows
+        cases = 0
+        for j in (1, 2, 3):
+            big_k = p**j
+            for v in (2, 3, 5):
+                n = big_k * v - (big_k - 1) // (p - 1) + 1
+                assert _exp_terms(v, n, p) == big_k
+                for unit in (1, 3, 7, 2 * p + 1):
+                    x = p**v * unit
+                    dropped = Fraction(x**big_k, math.factorial(big_k))
+                    assert naive_valuation(dropped.numerator, p) == n - 1
+                    assert _padic_exp(x, v, p, n) == series_exp(x, p, n), (j, v, unit)
+                    cases += 1
+        assert cases == 36
+
+    @pytest.mark.parametrize("p, q", [(2, 2), (5, 4)])
+    def test_log_matches_the_series(self, p, q):
+        for a in (3, 7, 11, 13, 99, 163574218751):
+            u = a**q
+            for n in (1, 2, 3, 8, 25, 64):
+                assert _padic_log(u, p, n) == series_log(u, p, n), (a, n)
+
+    @pytest.mark.parametrize("p, q", [(2, 2), (5, 4)])
+    def test_unit_log_turns_powers_into_exp(self, p, q):
+        # a^D = exp(D * log(a^q)/q) for q | D, also when v_p(D) = 0, where
+        # every digit of the log and of 1/q counts
+        for a in (3, 7, 11, 12, 99, 2**20 + 1, 163574218751):
+            if a % p == 0:
+                continue
+            for n in (2, 5, 16, 40):
+                m = p**n
+                ell = _unit_log(a, p, n)
+                w = naive_valuation(a**q - 1, p) - naive_valuation(q, p)
+                assert ell == 0 or naive_valuation(ell, p) == w
+                for d in (q, 2 * q, 3 * q, q * p**3, q * 7 * p**(n // 2)):
+                    v = naive_valuation(d, p) + w
+                    assert pow(a, d, m) == _padic_exp(d * ell % m, v, p, n), (a, n, d)
 
 
 class TestTetrationMod:

@@ -1,11 +1,12 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tetrastable import decadic
-from tetrastable.arith import InvariantError
+from tetrastable.arith import InvariantError, _no_str_digits_limit
 from tetrastable.decadic import (
     ALPHA_TAGS,
     AlphaTag,
@@ -219,3 +220,41 @@ class TestKeyDigit:
         assert (r.l, r.s_l, r.diff) == scan_key_digit(alpha_value(AlphaTag(5, 1), 40), "51")
         r = key_digit(10**5000 + 51, AlphaTag(5, 1))
         assert (r.l, r.s_l, r.diff) == (3, 0, -7)
+
+
+class TestShallowConstants:
+    def test_truncations_equal_the_closed_forms(self):
+        for n in range(1, 65):
+            assert decadic._E5_SHALLOW % 10**n == decadic._e5(n)
+            assert decadic._T2_SHALLOW % 10**n == decadic._t2(n)
+
+    def test_shallow_depths_build_nothing(self, monkeypatch):
+        def rebuilt(n):
+            raise AssertionError(f"constant rebuilt at depth {n}")
+
+        monkeypatch.setattr(decadic, "_e5", rebuilt)
+        monkeypatch.setattr(decadic, "_t2", rebuilt)
+        for tag in ALPHA_TAGS:
+            assert alpha_value(tag, 64) == crt_fifth_power_root(tag.label, 64)
+        r = key_digit(163574218751, AlphaTag(5, 1))
+        assert (r.l, r.s_l, r.diff) == scan_key_digit(163574218751, "51")
+
+
+class TestDigitStringsPastTheStrDigitsLimit:
+    def test_5000_digits(self):
+        before = sys.get_int_max_str_digits()
+        digits = alpha_digits(AlphaTag(5, 1), 5000)
+        assert sys.get_int_max_str_digits() == before
+        assert len(digits.digits) == 5000 and digits.digits.endswith(PRINTED_ALPHA["51"])
+        assert digits.value == alpha_value(AlphaTag(5, 1), 5000)
+        assert idempotent_e5(5000).endswith(PRINTED_ALPHA["25"][-60:])
+        assert two_tower_t2(5000).endswith(PRINTED_ALPHA["32"][-60:])
+        assert sys.get_int_max_str_digits() == before
+
+    def test_limit_restored_after_an_error(self):
+        before = sys.get_int_max_str_digits()
+        with pytest.raises(RuntimeError):
+            with _no_str_digits_limit():
+                assert sys.get_int_max_str_digits() == 0
+                raise RuntimeError("boom")
+        assert sys.get_int_max_str_digits() == before

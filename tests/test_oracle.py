@@ -1,18 +1,34 @@
+import math
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tetrastable.arith import TowerNotRepresentable
+from tetrastable import oracle
+from tetrastable.arith import TowerNotRepresentable, _exp_terms, digit
+from tetrastable.decadic import alpha_value
 from tetrastable.oracle import (
     NeedsLargerBudget,
+    _counts_at_precision,
+    _tower_walk,
     certified_sequence,
     measure_stabilization,
     measured_speed,
     speed_sequence,
     stable_digit_count,
 )
+from tetrastable.speed import TAG_BY_MOD20, speed_bound, speed_exact, speed_mod20
 
-from support import brute_stable_count, exact_tower, trailing_match
+from support import (
+    brute_stable_count,
+    exact_tower,
+    lambda_tower_mod,
+    naive_valuation,
+    pow_walk,
+    pow_walk_counts,
+    trailing_match,
+)
 
 
 class TestStableDigitCount:
@@ -153,3 +169,137 @@ class TestSequenceLaws:
             seq = certified_sequence(a)
             v = seq.speed
             assert seq.entries[0] + seq.entries[1] <= 3 * v, (a, seq.entries)
+
+
+def walk_residues(a: int, heights: int, n: int) -> list[tuple[int, int]]:
+    return [(x2, x5) for _, (x2, x5, _, _) in zip(range(heights), _tower_walk(a, n))]
+
+
+def exp_steps(a: int, heights: int, n: int):
+    """(p, v, K) of each exp step the walk takes up to height `heights`: the
+    valuation v of D_b * log and the index K of the last term summed."""
+    w = {2: naive_valuation(a * a - 1, 2) - 1 if a % 2 else None,
+         5: naive_valuation(a**4 - 1, 5) if a % 5 else None}
+    steps = []
+    for _, (_, _, v2, v5) in zip(range(heights - 2), _tower_walk(a, n)):
+        for p, vp, min_v2 in ((2, v2, 1), (5, v5, 2)):  # 2 | D at 2, 4 | D at 5
+            if w[p] is not None and v2 >= min_v2 and vp + w[p] >= oracle._EXP_GATE and vp + w[p] < n:
+                steps.append((p, vp + w[p], _exp_terms(vp + w[p], n, p)))
+    return steps
+
+
+_LAMBDA_BASES = list(range(61)) + [99, 100, 125, 128, 1000, 2**20, 5**9, 163574218751]
+
+
+def _crt(r2: int, m2: int, r5: int, m5: int) -> int:
+    return r5 + m5 * ((r2 - r5) * pow(m5, -1, m2) % m2)
+
+
+# a == 2 (mod 4) whose 4th power is 1 modulo 5^12: D_1 = a^a - a is 2 mod 4,
+# yet the valuation of D_1 * log(a^4)/4 passes the gate, so only the check
+# that 4 divides D keeps the walk off exp at 5 (a^D is not <a>^D there)
+_TWO_MOD_FOUR = [_crt(2, 4, pow(r, 5**11, 5**12), 5**12) for r in (2, 3)]
+# agreeing with a 10-adic constant in many digits: high valuations at both primes
+_PLANTED = [alpha_value(TAG_BY_MOD20[r], 20) + 10**20 * (r + 2) for r in (1, 7, 9, 13)]
+
+
+class TestExpWalk:
+    """The exp/log walk against the pow() walk and the textbook recursion of
+    tests/support.py, residue by residue and count by count."""
+
+    @pytest.mark.parametrize("a", _LAMBDA_BASES + _TWO_MOD_FOUR)
+    def test_residues_match_textbook_recursion(self, a):
+        for n in (2, 3, 4, 5, 7, 10, 16, 25, 40):
+            got = walk_residues(a, 40, n)
+            for b in list(range(1, 13)) + [40]:
+                want = lambda_tower_mod(a, b, 2**n), lambda_tower_mod(a, b, 5**n)
+                assert got[b - 1] == want, (b, n)
+
+    @pytest.mark.parametrize("a", [3, 7, 11, 13, 2, 5, 99, 163574218751] + _TWO_MOD_FOUR + _PLANTED)
+    def test_residues_match_pow_walk_at_every_precision(self, a):
+        # every precision from 10 to 99, so that some exp steps sum a last
+        # term whose valuation is exactly n - 1 (K = p^j and n = K*v - (K-1)/(p-1) + 1)
+        for n in range(10, 100):
+            assert walk_residues(a, 30, n) == pow_walk(a, 30, n), n
+
+    def test_exp_steps_where_the_last_term_counts(self):
+        # the walks checked above do take such steps, at both primes
+        tight = {2: 0, 5: 0}
+        for a in (3, 7, 11, 13, 99, 163574218751):
+            for n in range(10, 100):
+                for p, v, k in exp_steps(a, 30, n):
+                    j = round(math.log(k, p)) if k else 0
+                    if k == p**j and k * v - (k - 1) // (p - 1) == n - 1:
+                        tight[p] += 1
+        assert tight[2] > 0 and tight[5] > 0, tight
+
+    def test_the_four_divides_d_gate_is_reached(self):
+        for a in _TWO_MOD_FOUR:
+            _, _, v2, v5 = next(_tower_walk(a, 40))
+            assert v2 == 1 and v5 == 0 and naive_valuation(a**4 - 1, 5) >= oracle._EXP_GATE
+
+    def test_counts_match_pow_walk(self):
+        rng = random.Random(6)
+        cases = [(a, 12, 64) for a in range(2, 301)]
+        cases += [(a, h, n) for a in (3, 7, 13, 99, 163574218751) for h, n in ((40, 128), (70, 128), (9, 256))]
+        cases += [(alpha_value(TAG_BY_MOD20[r], k), speed_bound(alpha_value(TAG_BY_MOD20[r], k)) + 3, n)
+                  for r in (3, 7, 9, 11, 13, 17, 19) for k, n in ((6, 64), (8, 128), (12, 512))]
+        cases += [(rng.randrange(10**29, 10**30), 8, 64) for _ in range(20)]
+        failing = 0
+        for a, h, n in cases:
+            want = pow_walk_counts(a, h, n)
+            failing += want is None
+            assert _counts_at_precision(a, h, n) == want, (a, h, n)
+        assert failing > 10
+
+    @pytest.mark.parametrize("a, heights, exp_prime", [(2, 60, 5), (12, 60, 5), (5, 40, 2), (15, 25, 2)])
+    def test_a_base_divisible_by_one_prime_pays_pow_at_that_prime_only(self, monkeypatch, a, heights, exp_prime):
+        primes = []
+        real = oracle._tower_step
+
+        def counting(*args):
+            primes.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_tower_step", counting)
+        assert _counts_at_precision(a, heights, 128) is not None
+        assert primes.count(7 - exp_prime) == heights and primes.count(exp_prime) <= 12
+
+    @pytest.mark.parametrize("a, heights, prefix, ndigits", [(163574218751, 100, 30, 512), (3, 1000, 100, 128)])
+    def test_tall_runs(self, a, heights, prefix, ndigits):
+        # the whole runs take 0.3-1 s here and 45-60 s by pow() alone
+        counts = speed_sequence(a, heights).frozen_prefix
+        assert counts[:prefix] == pow_walk_counts(a, prefix, ndigits)
+
+
+def plant(r20: int, length: int, five: bool) -> int:
+    """The class constant of a mod-20 residue truncated to `length` digits, then
+    a digit at position length + 1 that differs from the constant's by 5 or by
+    1 (mod 10): the key digit, with |s_l - alpha[l]| = 5 or not."""
+    tag = TAG_BY_MOD20[r20]
+    alpha = alpha_value(tag, length + 1)
+    d = digit(alpha, length + 1)
+    return alpha % 10**length + (d + (5 if five else 1)) % 10 * 10**length
+
+
+def planted_base(r20: int, speed: int, five: bool) -> int:
+    for length in range(speed - 6, speed + 7):
+        a = plant(r20, length, five)
+        if speed_exact(a).speed == speed:
+            return a
+    raise AssertionError(f"no planted base of speed {speed} for residue {r20}")
+
+
+class TestPlantedHighSpeed:
+    """Bases agreeing with their class constant in 30-40 digits: the oracle
+    certifies a high speed, and both closed forms must name it."""
+
+    @pytest.mark.parametrize("speed", [30, 40])
+    @pytest.mark.parametrize("five", [True, False])
+    @pytest.mark.parametrize("r20", sorted(TAG_BY_MOD20))
+    def test_certified_speed_matches_closed_forms(self, r20, five, speed):
+        a = planted_base(r20, speed, five)
+        condition, rule = speed_exact(a).rule.split(": ")
+        assert condition.endswith("|=5") == five
+        assert rule.startswith("v2" if five else "v5")
+        assert certified_sequence(a).speed == speed_mod20(a).speed == speed
