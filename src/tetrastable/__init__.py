@@ -40,7 +40,6 @@ from .speed import (
     Tier,
     classify_tier,
     speed_bound,
-    speed_ending_in_five,
     speed_exact,
     speed_mod20,
     speed_mod100,
@@ -88,7 +87,6 @@ __all__ = [
     "speed_mod100",
     "speed_mod20",
     "speed_exact",
-    "speed_ending_in_five",
     "classify_tier",
     "DEFAULT_BUDGET",
     "NeedsLargerBudget",

@@ -2,23 +2,23 @@
 
 Everything in this module is pure and exact.  Tetration residues are the
 ground truth the closed forms elsewhere in the package are checked against.
-A tower is walked bottom-up, one height at a time, modulo 2^d and 5^d
-separately.  The residues of one height fix the exponent of the next,
-because lambda(2^d) = 2^max(d-2, 1) and lambda(5^d) = 4*5^(d-1).  Two
-certificates make the pow() step exact:
 
-* generalized Euler: an exponent above p^d (tower_value_capped says when)
-  may be replaced by any exponent of at least d congruent to it modulo
-  lambda(p^d), whether or not p divides the base (_tower_step);
-* fixed point: at d = 2 every step is a function of the two residues, so
-  once they repeat they hold at every greater height (tetration_mod_pow10).
+One walk (_tower_walk) serves both the oracle and tetration_mod_pow10.  It
+goes up the tower of a one height at a time at one precision n, modulo 2^n
+and 5^n separately, and yields each height T_b as soon as it is known,
+together with the valuations of D = T_b - T_(b-1).  At each prime p the
+next height T_(b+1) = a^(T_b) = T_b * a^D comes from one of three steps:
 
-On the way up to its target height, tetration_mod_pow10 gains one power
-of 5 and two powers of 2 per height, as much as lambda loses.
+* pow() with the exact exponent, while T_b <= p^n (tower_value_capped says
+  when): it is short and needs no certificate;
+* pow() with a reduced exponent, by generalized Euler: an exponent above p^n
+  may be replaced by any exponent of at least n congruent to it modulo
+  lambda(p^n), whether or not p divides the base (_tower_step);
+* the p-adic exponential, once D has a high enough valuation at a prime
+  p not dividing a (_EXP_GATE).
 
-The oracle's walk (oracle._tower_walk) may instead take a step by the p-adic
-exponential, T_(b+2) = T_(b+1) * a^D with D = T_(b+1) - T_b.  Its
-certificate (Koblitz, p-adic Numbers, ch. IV):
+The exponential step takes a^D as exp(D log(a^q)/q).  Its certificate
+(Koblitz, p-adic Numbers, ch. IV):
 
 * exp(m log u) = u^m for every integer m >= 0 and every principal unit u
   (u == 1 mod p, and mod 4 when p = 2).  With p not dividing a and q = 4 at
@@ -41,6 +41,10 @@ certificate (Koblitz, p-adic Numbers, ch. IV):
   term k has valuation at least k*w - floor(log_p k) with w = v_p(z),
   which does not fall as k grows, and dividing by k loses at most
   floor(log_p K) digits, the guard of _padic_log.
+
+tetration_mod_pow10 stops the walk at the first height whose D is 0 modulo
+10^n: from there on every taller tower has the same n digits (the proof is
+in its docstring).
 """
 from __future__ import annotations
 
@@ -186,13 +190,12 @@ def tower_value_capped(a: int, b: int, cap: int) -> int | None:
 
 def _tower_step(a: int, j: int, p: int, k: int, x2: int, x5: int) -> int:
     """The height-j tower of a modulo p^k (p = 2 or 5, k >= 2), from x2 and
-    x5, the height-(j-1) tower modulo 2^c2 and 5^c5 for some c2 >= max(k - 2, 2)
-    and, when p = 5, c5 >= k - 1.
+    x5, the height-(j-1) tower modulo 2^k and 5^k.
 
     The exponent E (the height-(j-1) tower) goes into pow() as it is when
     tower_value_capped(a, j-1, p^k) knows it.  Otherwise E > p^k and it is
     replaced by an exponent e >= k with e == E modulo lambda(p^k), read off
-    x2 and x5: lambda(2^k) = 2^max(k-2, 1) divides 2^c2, and for
+    x2 and x5: lambda(2^k) = 2^max(k-2, 1) divides 2^k, and for
     lambda(5^k) = 4*5^(k-1), e = r5 + 5^(k-1)*((x2 - r5) mod 4) with
     r5 = x5 mod 5^(k-1) is E modulo 5^(k-1) and modulo 4, a CRT with no
     inverse since 5^(k-1) == 1 (mod 4).  Then a^E == a^e (mod p^k) by the
@@ -283,21 +286,72 @@ def _unit_log(a: int, p: int, n: int) -> int:
     return _padic_log(a * a, 2, n + 1) >> 1
 
 
+# the least valuation of D * log at which the exp series beats pow(): at
+# valuation 1 it has about 4n/3 terms at 5 and costs as much as pow()
+_EXP_GATE = 2
+
+
+def _tower_walk(a: int, n: int):
+    """Yield (x2, x5, v2, v5) for b = 1, 2, ...: the height-b tower T_b of a
+    modulo 2^n and 5^n (n >= 2), and the valuations of D = T_b - T_(b-1),
+    where T_0 = 1 is the empty tower.
+
+    T_(b+1) = a^(T_b) = T_b * a^D.  At a prime p not dividing a, a^D is
+    exp(D * l) with l = _unit_log(a, p, n) whenever q divides D, q = 4 at 5
+    and 2 at 2.  v_p(l) = w is v_p(a^q - 1) - v_p(q), since log is an
+    isometry on principal units, so the series starts at valuation
+    v_p(D) + w and gets shorter as the counts grow.  A prime takes that step
+    once v_p(D) + w reaches _EXP_GATE and T_b is above p^n; otherwise it
+    takes a pow() step (_tower_step).  Its log is computed the first time a
+    height takes the exp step.
+    """
+    m2, m5 = 1 << n, 5**n
+    x2 = x5 = 1
+    y2, y5 = a % m2, a % m5
+    w2 = _v2(a * a - 1) - 1 if a % 2 else None
+    w5 = _v5(a**4 - 1) if a % 5 else None
+    log2 = log5 = None
+    tall2 = tall5 = False  # T_b > p^n, and so every taller tower
+    b = 1
+    while True:
+        d2, d5 = (y2 - x2) % m2, (y5 - x5) % m5
+        v2, v5 = _v2(d2), _v5(d5)
+        yield y2, y5, v2, v5
+        tall2 = tall2 or tower_value_capped(a, b, m2) is None
+        tall5 = tall5 or tower_value_capped(a, b, m5) is None
+        if tall2 and w2 is not None and v2 >= 1 and v2 + w2 >= _EXP_GATE:
+            if log2 is None:
+                log2 = _unit_log(a, 2, n)
+            z2 = y2 * _padic_exp(d2 * log2 % m2, v2 + w2, 2, n) % m2
+        else:
+            z2 = _tower_step(a, b + 1, 2, n, y2, y5)
+        if tall5 and w5 is not None and v2 >= 2 and v5 + w5 >= _EXP_GATE:
+            if log5 is None:
+                log5 = _unit_log(a, 5, n)
+            z5 = y5 * _padic_exp(d5 * log5 % m5, v5 + w5, 5, n) % m5
+        else:
+            z5 = _tower_step(a, b + 1, 5, n, y2, y5)
+        x2, x5, y2, y5 = y2, y5, z2, z5
+        b += 1
+
+
 def tetration_mod_pow10(a: int, b: int, ndigits: int, memo: dict | None = None) -> int:
     """Height-b tower of a modulo 10^ndigits.
 
-    A memo dict shared across calls keeps the last tower computed for each
-    base and precision, so walking consecutive heights costs one step each.
+    A memo dict shared across calls keeps the live walk for each base and
+    precision, so walking consecutive heights costs one step each.
 
-    The walk computes height j modulo 2^max(2, n - 2(b - j)) and
-    5^max(2, n - (b - j)), n = ndigits: its exponent is needed only modulo
-    lambda(2^k) = 2^max(k - 2, 1) and lambda(5^k) = 4*5^(k - 1), which the
-    residues of height j - 1 determine (see _tower_step).  In the flat
-    stretch modulo 4 and 25 it jumps on a fixed point.  There every exponent
-    of a tower of a >= 2 is at least 2, so each step gives what the reduced
-    exponent gives, a function of (x2, x5) alone.  So once a step leaves
-    (x2, x5) unchanged, every greater height in the stretch has the same
-    residues, and the walk skips to the last of them.
+    The walk runs at N = max(ndigits, 2) digits and stops at the first
+    height b0 with 10^N dividing D = T_b0 - T_(b0-1): every taller tower is
+    T_b0 modulo 10^N.  Each prime p keeps p^N dividing the next difference
+    D' = T_(b0+1) - T_b0 = T_b0 * (a^D - 1), so by induction 10^N divides
+    every later one:
+
+    * p does not divide a: lambda(p^N) divides 10^N (N >= 2), so it divides
+      D, a^D == 1 (mod p^N), and p^N divides D';
+    * p divides a: v_p(T_b) = T_(b-1) * v_p(a) rises with b, so
+      v_p(D) = v_p(T_(b0-1)) >= N, and T_b0 and every taller tower are
+      0 (mod p^N).
     """
     if a < 0:
         raise ValueError("base must be nonnegative")
@@ -305,25 +359,21 @@ def tetration_mod_pow10(a: int, b: int, ndigits: int, memo: dict | None = None) 
         raise ValueError("tower height starts at 1")
     if ndigits < 1:
         raise ValueError("need at least one digit of precision")
-    if a < 2:  # the towers of 0 alternate and never reach a fixed point
+    if a < 2:  # the towers of 0 alternate and never stop
         return tower_value_capped(a, b, 1) % 10**ndigits
-    n = ndigits
-    last = memo.get((a, n)) if memo is not None else None
-    if last and last[0] <= b:
-        j, x2, x5 = last
-    else:
-        j, x2, x5 = 1, a % (1 << max(n, 2)), a % 5 ** max(n, 2)
-    while j < b:
+    n = max(ndigits, 2)
+    state = memo.get((a, n)) if memo is not None else None
+    if state is None or state[0] > b:
+        state = 0, 0, 0, _tower_walk(a, n)
+    j, x2, x5, walk = state
+    while j < b and walk is not None:
+        x2, x5, v2, v5 = next(walk)
         j += 1
-        k5 = max(2, n - (b - j))
-        y2 = _tower_step(a, j, 2, max(2, n - 2 * (b - j)), x2, x5)
-        y5 = _tower_step(a, j, 5, k5, x2, x5)
-        if k5 == 2 and (y2, y5) == (x2, x5):
-            j = max(j, b - n + 2)
-        x2, x5 = y2, y5
+        if v2 >= n and v5 >= n:
+            walk = None
     if memo is not None:
-        memo[(a, n)] = (b, x2, x5)
-    m2, m5 = 1 << n, 5**n
+        memo[(a, n)] = j, x2, x5, walk
+    m2, m5 = 1 << ndigits, 5**ndigits
     x2, x5 = x2 % m2, x5 % m5
     return x5 + m5 * ((x2 - x5) * pow(m5, -1, m2) % m2)
 

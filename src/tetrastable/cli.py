@@ -74,10 +74,6 @@ def _emit(report: dict, args, lines: list[str]) -> None:
             fh.write("\n")
 
 
-def _speed_field(result: speed.SpeedResult) -> int | None:
-    return result.speed
-
-
 def cmd_speed(args) -> int:
     a = args.a
     exact = speed.speed_exact(a)
@@ -88,11 +84,11 @@ def cmd_speed(args) -> int:
     if a >= 2 and a % 10 != 0:
         bound = speed.speed_bound(a)
     result = {
-        "speed": _speed_field(exact),
+        "speed": exact.speed,
         "rule": exact.rule,
         "speed_bound": bound,
-        "mod100_map": _speed_field(by100),
-        "mod20_map": _speed_field(by20),
+        "mod100_map": by100.speed,
+        "mod20_map": by20.speed,
         "agreement": agreement,
     }
     report = _report("speed", {"a": str(a)}, result)

@@ -15,11 +15,7 @@ from functools import lru_cache
 from .arith import (
     InvariantError,
     TowerNotRepresentable,
-    _padic_exp,
-    _tower_step,
-    _unit_log,
-    _v2,
-    _v5,
+    _tower_walk,
     _v10,
     decimal_length,
     tower_value_capped,
@@ -29,9 +25,6 @@ from .speed import speed_bound
 DEFAULT_BUDGET = 8192
 _START_DIGITS = 64
 _MACHINE_RANGE = 1 << 63
-# the least valuation of D_b * log at which the exp series beats pow(): at
-# valuation 1 it has about 4n/3 terms at 5 and costs as much as pow()
-_EXP_GATE = 2
 
 
 class NeedsLargerBudget(RuntimeError):
@@ -71,55 +64,17 @@ def _trailing_zero_count(a: int, b: int) -> int:
     return e * int(_v10(a))
 
 
-def _tower_walk(a: int, n: int):
-    """Yield (x2, x5, v2, v5) for b = 1, 2, ...: the height-b tower T_b of a
-    modulo 2^n and 5^n (n >= 2), and the valuations of D_b = T_(b+1) - T_b.
-
-    T_(b+2) = a^(T_b + D_b) = T_(b+1) * a^(D_b).  At a prime p not dividing
-    a, a^(D_b) is exp(D_b * l) with l = _unit_log(a, p, n) whenever q divides
-    D_b, q = 4 at 5 and 2 at 2 (see arith).  v_p(l) = w is v_p(a^q - 1) - v_p(q),
-    since log is an isometry on principal units, so the series starts at
-    valuation v_p(D_b) + w and gets shorter as the counts grow.  A prime takes
-    that step once v_p(D_b) + w reaches _EXP_GATE, and a pow() step
-    (_tower_step) below it; its log is computed the first time a height
-    passes the gate.
-    """
-    m2, m5 = 1 << n, 5**n
-    x2, x5 = a % m2, a % m5
-    y2, y5 = _tower_step(a, 2, 2, n, x2, x5), _tower_step(a, 2, 5, n, x2, x5)
-    w2 = _v2(a * a - 1) - 1 if a % 2 else None
-    w5 = _v5(a**4 - 1) if a % 5 else None
-    log2 = log5 = None
-    b = 1
-    while True:
-        d2, d5 = (y2 - x2) % m2, (y5 - x5) % m5
-        v2, v5 = _v2(d2), _v5(d5)
-        yield x2, x5, v2, v5
-        b += 1
-        if w2 is not None and v2 >= 1 and v2 + w2 >= _EXP_GATE:
-            if log2 is None:
-                log2 = _unit_log(a, 2, n)
-            z2 = y2 * _padic_exp(d2 * log2 % m2, v2 + w2, 2, n) % m2
-        else:
-            z2 = _tower_step(a, b + 1, 2, n, y2, y5)
-        if w5 is not None and v2 >= 2 and v5 + w5 >= _EXP_GATE:
-            if log5 is None:
-                log5 = _unit_log(a, 5, n)
-            z5 = y5 * _padic_exp(d5 * log5 % m5, v5 + w5, 5, n) % m5
-        else:
-            z5 = _tower_step(a, b + 1, 5, n, y2, y5)
-        x2, x5, y2, y5 = y2, y5, z2, z5
-
-
 def _counts_at_precision(a: int, heights: int, ndigits: int) -> list[int] | None:
     """Capped stable-digit counts for b = 1..heights, or None if ndigits is too small.
 
     One walk up heights 1..heights+1 modulo 2^ndigits and 5^ndigits: the
-    count at height b is the smaller valuation of T_b - T_(b+1) at the two
-    primes, capped at ndigits.
+    count at height b is the smaller valuation of T_(b+1) - T_b at the two
+    primes, capped at ndigits, which the walk yields with height b+1.
     """
     counts = []
-    for b, (_, _, v2, v5) in zip(range(1, heights + 1), _tower_walk(a, ndigits)):
+    walk = _tower_walk(a, ndigits)
+    next(walk)
+    for b, (_, _, v2, v5) in zip(range(1, heights + 1), walk):
         n = min(ndigits, v2, v5)
         if n >= ndigits:
             return None

@@ -188,15 +188,6 @@ def speed_exact(a: int) -> SpeedResult:
     return SpeedResult(_apply(rule, a), f"mod20={r20}, l={report.l}, {cond}: {_rule_text(rule)}")
 
 
-def speed_ending_in_five(a: int) -> SpeedResult:
-    """Independent closed form for bases ending in 5 (cross-check path)."""
-    if a % 10 != 5:
-        raise ValueError("defined for a = 5 (mod 10) only")
-    if a % 20 == 5:
-        return SpeedResult(int(_v2(a - 1)), "mod20=5: v2(a-1)")
-    return SpeedResult(int(_v2(a + 1)), "mod20=15: v2(a+1)")
-
-
 # residues mod 25 with V(a) = 1, and the mod-1000 residues with V(a) >= 3
 # among bases whose mod-25 residue lies in {1, 7, 18, 24}
 C_COMPLEMENT = frozenset({2, 3, 4, 6, 8, 9, 11, 12, 13, 14, 16, 17, 19, 21, 22, 23})
@@ -235,6 +226,5 @@ __all__ = [
     "speed_mod100",
     "speed_mod20",
     "speed_exact",
-    "speed_ending_in_five",
     "classify_tier",
 ]

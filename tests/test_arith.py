@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tetrastable import arith
 from tetrastable.arith import (
     INFINITY,
     _exp_terms,
@@ -22,7 +23,7 @@ from tetrastable.arith import (
     tower_value_capped,
 )
 
-from support import exact_tower, lambda_tower_mod, naive_valuation, series_exp, series_log
+from support import exact_tower, lambda_tower_mod, naive_valuation, pow_walk, series_exp, series_log
 
 
 class TestPadicValuation:
@@ -213,7 +214,7 @@ class TestTetrationMod:
         assert r == lambda_tower_mod(3, 300, 10**300)
 
     def test_fixed_point_jump(self):
-        # a million heights cost a walk to the fixed point modulo 4 and 25 and 198 steps up
+        # a million heights cost a walk up to the height where 200 digits freeze
         for a in (2, 3, 163574218751):
             assert tetration_mod_pow10(a, 10**6, 200) == lambda_tower_mod(a, 10**6, 10**200)
 
@@ -223,14 +224,41 @@ _LAMBDA_BASES = list(range(61)) + [99, 100, 125, 128, 1000, 2**20, 5**9, 1635742
 
 class TestAgainstLambdaChain:
     """tetration_mod_pow10 against the textbook recursion of tests/support.py,
-    with heights far above the precision so the rising schedule and the jump
-    on a fixed point both run."""
+    with heights far above the precision so the walk stops early."""
 
     @pytest.mark.parametrize("a", _LAMBDA_BASES)
     def test_matches_textbook_recursion(self, a):
         for b in list(range(1, 13)) + [40, 300]:
             for n in (1, 2, 3, 4, 5, 7, 10, 16, 25, 40):
                 assert tetration_mod_pow10(a, b, n) == lambda_tower_mod(a, b, 10**n), (b, n)
+
+
+class TestStopRule:
+    """tetration_mod_pow10 stops its walk at the first height whose
+    difference to the height below is 0 modulo 10^n.  Heights just below, at
+    and past that stop, for bases divisible by 2, by 5, by 10 and by neither,
+    where the two primes freeze their digits at different heights."""
+
+    @pytest.mark.parametrize("a, n", [(3, 100), (7, 150), (163574218751, 120), (2, 130),
+                                      (12, 110), (5, 140), (15, 170), (10, 200), (30, 160)])
+    def test_heights_around_the_stop(self, a, n):
+        residues = pow_walk(a, 3 * n, n)
+        stop = next(b for b in range(2, 3 * n + 1) if residues[b - 1] == residues[b - 2])
+        for b in {max(stop - 2, 1), stop - 1, stop, stop + 1, stop + 7}:
+            assert tetration_mod_pow10(a, b, n) == lambda_tower_mod(a, b, 10**n), (b, stop)
+
+    @pytest.mark.parametrize("a, b, n", [(3, 4, 5000), (2, 5, 7055), (99, 3, 6000)])
+    def test_exact_exponents_take_no_exp_step(self, monkeypatch, a, b, n):
+        calls = []
+        real = arith._padic_exp
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(arith, "_padic_exp", counting)
+        assert tetration_mod_pow10(a, b, n) == pow(a, exact_tower(a, b - 1), 10**n)
+        assert calls == []
 
 
 def _threshold_cases():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -235,6 +236,50 @@ class TestPastTheStrDigitsLimit:
         with pytest.raises(RuntimeError):
             main(["speed", "51"])
         assert sys.get_int_max_str_digits() == before
+
+
+# sha256 of the --json stdout of a fixed set of runs: a change that keeps the
+# package's answers must leave every one of these reports byte-identical
+_BIG = "3" * 998
+GOLDEN_REPORTS = [
+    (("speed", "0"), "8a4ed9211708fa1be471eed0365a9c79cc826ff6b7164814db652d00f895548b"),
+    (("speed", "1"), "b32c7ed15063ffb32f2e2322be6630bba25e4cc8bed18b0e7189ea57025c865c"),
+    (("speed", "2"), "4e7ae243033a23348612c29293e1149acea2fc9c2964156adffae4adf82a1aae"),
+    (("speed", "3"), "631914da8690b1acb12653c17a992521327d6b0f9c0b1fb6b8a1a71f06eac4a8"),
+    (("speed", "5"), "5c7ac1968b2d73138def3c05964e125ce3f705f543f62824ce8bd4065f0b7e19"),
+    (("speed", "7"), "1abdcb444fce889588c73a08b1eb0585be6a5a86b324ce4884866cc44491dde6"),
+    (("speed", "25"), "8a49c50245f7c9e4288ccaf82f9683a58eda2be0cf196f097d8272ddc0225380"),
+    (("speed", "30"), "100a9e16919f4cdca8ff5da411b4f7dc32a3ecc88b03e14a539392453bb8086c"),
+    (("speed", "51"), "667a14f9b6bb587ac4e1b5f7b89f2e1a460990475922b7a923b6660ac25d274b"),
+    (("speed", "99"), "f188d773ac4848d74c92043486cb9b20ef5eee7ca344ce7d01ea407b7d437326"),
+    (("speed", "501"), "04b8804aab39c7364b788eecac1a7f5cfdad532672e4a55a78101ba9abf04ebb"),
+    (("speed", _BIG + "51"), "07376b4f9ec15b679cba76f5de57f2a7405a12cb6ba01d1c61e3e8cfb29a968d"),
+    (("speed", _BIG + "49"), "6f13f079d33995301b37eaa28261208c4498b4210c97fa3ed7dfb6c9802b9c9c"),
+    (("speed", _BIG + "37"), "baa80f7d0fd3ae347935ea60f318b42f9074ccc207c063e954e55fb64743bd7b"),
+    (("speed", _BIG + "93"), "7dc0c9c798618c686618a2ce63064b063eb1e7fdfd1f03dd4c0b06b2daf970cc"),
+    (("sequence", "3", "--max-b", "100"), "3749be9347e73e7bc07c37b496f63617080292a7adaaa9abd8971e7c216b2dd3"),
+    (("sequence", "99", "--max-b", "60"), "65f1d4a1cbd289b6425107a19a66da280d697e67c4f3d2dbe8314594b73cd021"),
+    (("sequence", "163574218751", "--max-b", "20"), "9f75a9a48cf68b478338dca78f1b055667a10ed03eda4c02e07bdafee4f3d2de"),
+    (("stable", "3", "10"), "343d629ccacffc1ea3cf23ea59bf14ca0a2eb48a8176a095f1eb05c49238830c"),
+    (("stable", "5", "6"), "18164abe9043a164a1007c92fb4092ed652524345256473ddbecf2b350e27f9c"),
+    (("stable", "163574218751", "7"), "0dc7bd1e4dc28b6576b906bdb6c028304b2e98441af08ea995d00ddca937e41c"),
+    (("ratio", "3", "3"), "daaba0a25746bbe087654307f8a416d2be0c90c676861abc4de6256a81515856"),
+    (("ratio", "7", "3"), "6c0707831ce6f0899a417268b88dd9ae50676401254dce50b7d85462dec0f2bf"),
+    (("min-height", "3", "50"), "f26359c9f94c29f17a8c1f808f617628142540a324a74638fec97b01f92b2738"),
+    (("min-height", "7", "20"), "2d9e8312cc13a4d74d439a72c905846025af08f1433e5bac6f4dac9cdfe1d567"),
+    (("classify", "163574218751"), "f2f664da3be560c8afc211e5292253626c6a506d45c7be6c99fc6d2a739c6872"),
+    (("classify", "3"), "6380254afbda9e914050d07830b336d61921d93ece7075a7a8287a39e9ed3fb9"),
+    (("alpha", "51", "100"), "39bb13dec326aa758f5a28303db7c41d5d32d83948086d00475d229e6120f319"),
+    (("alpha", "07", "50"), "4a502cf76f108b413b3829a457540896cbb794fb3b72a746fc412f0e9fb8513b"),
+    (("verify", "--range", "2..2000"), "0721e6269d7815c167af887a4ff66837271a84c54fead8f7467bf813c6a1f213"),
+]
+
+
+def test_golden_reports_are_byte_identical(capsys):
+    for argv, want in GOLDEN_REPORTS:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv[:2]
 
 
 def test_import_stays_light():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tetrastable import oracle
-from tetrastable.arith import TowerNotRepresentable, _exp_terms, digit
+from tetrastable import arith
+from tetrastable.arith import TowerNotRepresentable, _exp_terms, digit, tower_value_capped
 from tetrastable.decadic import alpha_value
 from tetrastable.oracle import (
     NeedsLargerBudget,
@@ -181,9 +181,12 @@ def exp_steps(a: int, heights: int, n: int):
     w = {2: naive_valuation(a * a - 1, 2) - 1 if a % 2 else None,
          5: naive_valuation(a**4 - 1, 5) if a % 5 else None}
     steps = []
-    for _, (_, _, v2, v5) in zip(range(heights - 2), _tower_walk(a, n)):
+    walk = _tower_walk(a, n)
+    next(walk)
+    for b, (_, _, v2, v5) in zip(range(2, heights), walk):
         for p, vp, min_v2 in ((2, v2, 1), (5, v5, 2)):  # 2 | D at 2, 4 | D at 5
-            if w[p] is not None and v2 >= min_v2 and vp + w[p] >= oracle._EXP_GATE and vp + w[p] < n:
+            if (w[p] is not None and v2 >= min_v2 and vp + w[p] >= arith._EXP_GATE and vp + w[p] < n
+                    and tower_value_capped(a, b, p**n) is None):
                 steps.append((p, vp + w[p], _exp_terms(vp + w[p], n, p)))
     return steps
 
@@ -235,8 +238,10 @@ class TestExpWalk:
 
     def test_the_four_divides_d_gate_is_reached(self):
         for a in _TWO_MOD_FOUR:
-            _, _, v2, v5 = next(_tower_walk(a, 40))
-            assert v2 == 1 and v5 == 0 and naive_valuation(a**4 - 1, 5) >= oracle._EXP_GATE
+            walk = _tower_walk(a, 40)
+            next(walk)
+            _, _, v2, v5 = next(walk)
+            assert v2 == 1 and v5 == 0 and naive_valuation(a**4 - 1, 5) >= arith._EXP_GATE
 
     def test_counts_match_pow_walk(self):
         rng = random.Random(6)
@@ -255,13 +260,13 @@ class TestExpWalk:
     @pytest.mark.parametrize("a, heights, exp_prime", [(2, 60, 5), (12, 60, 5), (5, 40, 2), (15, 25, 2)])
     def test_a_base_divisible_by_one_prime_pays_pow_at_that_prime_only(self, monkeypatch, a, heights, exp_prime):
         primes = []
-        real = oracle._tower_step
+        real = arith._tower_step
 
         def counting(*args):
             primes.append(args[2])
             return real(*args)
 
-        monkeypatch.setattr(oracle, "_tower_step", counting)
+        monkeypatch.setattr(arith, "_tower_step", counting)
         assert _counts_at_precision(a, heights, 128) is not None
         assert primes.count(7 - exp_prime) == heights and primes.count(exp_prime) <= 12
 

@@ -9,7 +9,6 @@ from tetrastable.speed import (
     Tier,
     classify_tier,
     speed_bound,
-    speed_ending_in_five,
     speed_exact,
     speed_mod20,
     speed_mod100,
@@ -57,6 +56,9 @@ class TestClosedFormMaps:
         assert speed_exact(30).is_undefined
         assert speed_exact(501).speed == 2
         assert speed_exact(51).speed == 2
+        assert speed_exact(25).speed == 3
+        assert speed_exact(75).speed == 2
+        assert speed_exact(5).speed == 2
 
     def test_rules_name_the_branch(self):
         assert "v2(a-1)" in speed_exact(501).rule
@@ -86,22 +88,6 @@ class TestClosedFormMaps:
         if a % 10 == 0:
             return
         assert speed_exact(a).speed == certified_sequence(a).speed
-
-
-class TestEndingInFive:
-    def test_reference_values(self):
-        assert speed_ending_in_five(25).speed == 3
-        assert speed_ending_in_five(75).speed == 2
-        assert speed_ending_in_five(5).speed == 2
-
-    def test_rejects_other_classes(self):
-        with pytest.raises(ValueError):
-            speed_ending_in_five(7)
-
-    @given(k=st.integers(0, 10**5))
-    def test_agrees_with_the_exact_map(self, k):
-        a = 10 * k + 5
-        assert speed_ending_in_five(a).speed == speed_exact(a).speed
 
 
 class TestTier:
