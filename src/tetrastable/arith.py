@@ -11,9 +11,10 @@ next height T_(b+1) = a^(T_b) = T_b * a^D comes from one of three steps:
 
 * pow() with the exact exponent, while T_b <= p^n (tower_value_capped says
   when): it is short and needs no certificate;
-* pow() with a reduced exponent, by generalized Euler: an exponent above p^n
-  may be replaced by any exponent of at least n congruent to it modulo
-  lambda(p^n), whether or not p divides the base (_tower_step);
+* pow() with a reduced exponent, by generalized Euler: when p divides the
+  base, an exponent of at least n gives 0; otherwise an exponent above p^n
+  may be replaced by any exponent congruent to it modulo lambda(p^n)
+  (_tower_step);
 * the p-adic exponential, once D has a high enough valuation at a prime
   p not dividing a (_EXP_GATE).
 
@@ -192,31 +193,27 @@ def _tower_step(a: int, j: int, p: int, k: int, x2: int, x5: int) -> int:
     """The height-j tower of a modulo p^k (p = 2 or 5, k >= 2), from x2 and
     x5, the height-(j-1) tower modulo 2^k and 5^k.
 
-    The exponent E (the height-(j-1) tower) goes into pow() as it is when
-    tower_value_capped(a, j-1, p^k) knows it.  Otherwise E > p^k and it is
-    replaced by an exponent e >= k with e == E modulo lambda(p^k), read off
-    x2 and x5: lambda(2^k) = 2^max(k-2, 1) divides 2^k, and for
-    lambda(5^k) = 4*5^(k-1), e = r5 + 5^(k-1)*((x2 - r5) mod 4) with
-    r5 = x5 mod 5^(k-1) is E modulo 5^(k-1) and modulo 4, a CRT with no
-    inverse since 5^(k-1) == 1 (mod 4).  Then a^E == a^e (mod p^k) by the
-    generalized Euler congruence: when p does not divide a,
-    a^lambda == 1 (mod p^k); when p divides a, both powers are 0 (mod p^k),
-    because both exponents are at least k.
+    The exponent E (the height-(j-1) tower) is known exactly when
+    tower_value_capped(a, j-1, p^k) gives it; otherwise E > p^k >= k.  When
+    p divides a and E >= k, a^E == 0 (mod p^k).  Otherwise a known E goes
+    into pow() as it is, and an unknown one has p not dividing a, so
+    a^lambda == 1 (mod p^k) and E may be replaced by any e == E modulo
+    lambda(p^k), read off x2 and x5: lambda(2^k) = 2^max(k-2, 1) divides
+    2^k, and for lambda(5^k) = 4*5^(k-1), e = r5 + 5^(k-1)*((x2 - r5) mod 4)
+    with r5 = x5 mod 5^(k-1) is E modulo 5^(k-1) and modulo 4, a CRT with no
+    inverse since 5^(k-1) == 1 (mod 4).
     """
     m = 1 << k if p == 2 else 5**k
     e = tower_value_capped(a, j - 1, m)
+    if a % p == 0 and (e is None or e >= k):
+        return 0
     if e is None:
         if p == 2:
-            lam = 1 << max(k - 2, 1)
-            e = x2 % lam
+            e = x2 % (1 << max(k - 2, 1))
         else:
             q5 = 5 ** (k - 1)
             r5 = x5 % q5
-            e, lam = r5 + q5 * ((x2 - r5) % 4), 4 * q5
-        while e < k:
-            e += lam
-    if e >= k and a % p == 0:
-        return 0
+            e = r5 + q5 * ((x2 - r5) % 4)
     return pow(a, e, m)
 
 

@@ -240,10 +240,11 @@ def cmd_verify(args) -> int:
     chunk_size = max(64, (hi - lo + 1) // (8 * max(args.workers, 1)) + 1)
     chunks = [(start, min(start + chunk_size - 1, hi), args.max_b, args.budget)
               for start in range(lo, hi + 1, chunk_size)]
-    if args.workers > 1:
+    workers = min(args.workers, len(chunks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_chunk, chunks))
     else:
         results = [_verify_chunk(c) for c in chunks]

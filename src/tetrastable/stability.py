@@ -6,7 +6,9 @@ V(a)+1 apart, and the exact shape is measured through the oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -161,22 +163,21 @@ def stable_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> StableCount:
 
 
 def _certified_digit_count(a: int, e: int) -> int:
-    # digits of a^e = floor(e*log10(a)) + 1, certified by interval arithmetic
-    import mpmath
-
-    iv = mpmath.iv
-    prec = 64
+    # digits of a^e = floor(e*log10(a)) + 1.  A long a comes only with e = 1,
+    # where its log could need as many digits as a has, so it is counted as
+    # it is.  Decimal's log10 is correctly rounded, so log10(a) is within one
+    # ulp of the prec-digit L, and the floors of e*(L -/+ ulp) in exact
+    # Fractions bracket the exact floor.  a is never a power of ten here, so
+    # e*log10(a) is never an integer, and the floors agree once prec is large.
+    if e == 1:
+        return decimal_length(a)
+    prec = 20
     while prec <= 1 << 16:
-        old = iv.prec
-        try:
-            iv.prec = prec
-            t = iv.mpf(e) * iv.log(iv.mpf(a)) / iv.log(iv.mpf(10))
-            f_lo = int(mpmath.floor(t.a))
-            f_hi = int(mpmath.floor(t.b))
-        finally:
-            iv.prec = old
-        if f_lo == f_hi:
-            return f_lo + 1
+        log = Decimal(a).log10(Context(prec=prec))
+        ulp = Fraction(10) ** (log.adjusted() - prec + 1)
+        lo, hi = math.floor(e * (Fraction(log) - ulp)), math.floor(e * (Fraction(log) + ulp))
+        if lo == hi:
+            return lo + 1
         prec *= 2
     raise TowerNotRepresentable("could not certify the digit count")
 
@@ -194,9 +195,7 @@ def stable_ratio(a: int, b: int, budget: int = DEFAULT_BUDGET) -> Fraction:
         raise TowerNotRepresentable(f"the height-{b} tower of {a} has too many digits to count")
     count = stable_count(a, b, budget)
     numerator = count.value if count.kind == "exact" else stable_digit_count(a, b, budget)
-    small = tower_value_capped(a, b, 10**18)
-    digits = decimal_length(small) if small is not None else _certified_digit_count(a, e)
-    return Fraction(numerator, digits)
+    return Fraction(numerator, _certified_digit_count(a, e))
 
 
 def min_height(a: int, target: int, budget: int = DEFAULT_BUDGET) -> HeightPlan:

@@ -96,6 +96,21 @@ def trailing_match(x: int, y: int) -> int:
     return n
 
 
+def reference_digit_count(a: int, e: int) -> int:
+    """Digits of a^e, floor(e*log10(a)) + 1, by mpmath at 100 digits.
+
+    Both the log and the floor run inside workdps(100), and the floor is
+    trusted only when e*log10(a) is more than 10^-60 from an integer.
+    """
+    import mpmath
+
+    with mpmath.workdps(100):
+        t = e * mpmath.log10(a)
+        f = mpmath.floor(t)
+        assert mpmath.mpf(10) ** -60 < t - f < 1 - mpmath.mpf(10) ** -60, (a, e)
+        return int(f) + 1
+
+
 def _tower_below(a: int, b: int, cap: int) -> int | None:
     """The height-b tower of a when it is below cap, else None."""
     if a < 2:

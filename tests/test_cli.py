@@ -102,6 +102,11 @@ class TestSmallCommands:
         assert report["result"]["numerator"] == 2
         assert report["result"]["denominator"] == 5
 
+    def test_ratio_past_2_53(self, capsys):
+        code, report, _ = run_json(capsys, "ratio", "15", "3")
+        assert code == 0
+        assert report["result"]["denominator"] == 515003176870815368
+
     def test_min_height(self, capsys):
         code, report, _ = run_json(capsys, "min-height", "4", "7")
         assert report["result"]["height"] == 8
@@ -288,3 +293,30 @@ def test_import_stays_light():
     code = "import sys, tetrastable.cli; print(sorted({'mpmath', 'concurrent.futures.process'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _python(code: str) -> str:
+    src = str(Path(tetrastable.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_ratio_runs_without_mpmath():
+    code = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from tetrastable.cli import main\n"
+        "print(main(['ratio', '7', '3', '--json']), main(['ratio', '15', '3', '--json']))"
+    )
+    out = _python(code).splitlines()
+    assert out[-1] == "0 0"
+    assert json.loads(out[0])["result"]["denominator"] == 695975
+    assert json.loads(out[1])["result"]["denominator"] == 515003176870815368
+
+
+def test_verify_starts_no_pool_for_one_chunk():
+    code = (
+        "import sys; from tetrastable.cli import main\n"
+        "main(['verify', '--range', '2..60', '--workers', '2'])\n"
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    assert _python(code).splitlines()[-1] == "False"

@@ -1,15 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tetrastable.arith import decimal_length
 from tetrastable.oracle import certified_sequence, stable_digit_count
 from tetrastable.speed import speed_exact
 from tetrastable.stability import (
     FormulaRangeError,
     StableShape,
     TowerNotRepresentable,
+    _certified_digit_count,
     min_height,
     stabilization_bound,
     stable_bounds,
@@ -18,6 +21,8 @@ from tetrastable.stability import (
     stable_ratio,
     stable_shape,
 )
+
+from support import reference_digit_count
 
 
 class TestStableExact:
@@ -171,6 +176,11 @@ class TestStableRatio:
         got = stable_ratio(2, 5)
         assert got == Fraction(3, 19729)
 
+    def test_digit_counts_past_2_53(self):
+        # e*log10(a) above 2^53: a count rounded to a double is off by a few
+        assert stable_ratio(15, 3) == Fraction(13, 515003176870815368)
+        assert stable_ratio(2000000000000001, 2) == Fraction(45, 30602059991327979)
+
     def test_huge_or_coprime_numerators(self):
         got = stable_ratio(163574218751, 2)
         assert got.numerator == 31
@@ -192,6 +202,34 @@ class TestStableRatio:
         except TowerNotRepresentable:
             return
         assert 0 <= r <= 1
+
+
+class TestCertifiedDigitCount:
+    @pytest.mark.parametrize("e", [1, 2, 3, 97, 1000, 4999])
+    def test_matches_the_exact_count(self, e):
+        for a in range(2, 301):
+            if a % 10:
+                assert _certified_digit_count(a, e) == decimal_length(a**e), (a, e)
+
+    @pytest.mark.parametrize("k", range(1, 19))
+    def test_bases_next_to_powers_of_ten(self, k):
+        for a in (10**k - 1, 10**k + 1, 10**k + 2):
+            for e in (1, 2, 3, 7, 1000):
+                assert _certified_digit_count(a, e) == decimal_length(a**e), (a, e)
+
+    def test_long_bases_at_height_one(self):
+        # log10(10^k + 2) is within 10^-k of k: a log would need k digits
+        assert _certified_digit_count(10**30000 + 2, 1) == 30001
+        assert _certified_digit_count(10**30000 - 1, 1) == 30000
+        assert stable_ratio(10**30000 - 4, 1) == Fraction(2, 30000)
+
+    def test_matches_the_100_digit_reference(self):
+        rng = random.Random(20221)
+        for _ in range(2000):
+            a = rng.randrange(2, 10 ** rng.randint(1, 40))
+            a += a % 10 == 0
+            e = rng.randrange(1, 10 ** rng.randint(1, 18) + 1)
+            assert _certified_digit_count(a, e) == reference_digit_count(a, e), (a, e)
 
 
 class TestMinHeight:
