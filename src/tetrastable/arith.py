@@ -6,17 +6,19 @@ ground truth the closed forms elsewhere in the package are checked against.
 One walk (_tower_walk) serves both the oracle and tetration_mod_pow10.  It
 goes up the tower of a one height at a time at one precision n, modulo 2^n
 and 5^n separately, and yields each height T_b as soon as it is known,
-together with the valuations of D = T_b - T_(b-1).  At each prime p the
-next height T_(b+1) = a^(T_b) = T_b * a^D comes from one of three steps:
+together with the valuations of D = T_b - T_(b-1) and, while T_b <= 10^n,
+T_b itself.  At each prime p the next height T_(b+1) = a^(T_b) = T_b * a^D
+comes from one of three steps:
 
-* pow() with the exact exponent, while T_b <= p^n (tower_value_capped says
-  when): it is short and needs no certificate;
-* pow() with a reduced exponent, by generalized Euler: when p divides the
-  base, an exponent of at least n gives 0; otherwise an exponent above p^n
-  may be replaced by any exponent congruent to it modulo lambda(p^n)
-  (_tower_step);
-* the p-adic exponential, once D has a high enough valuation at a prime
-  p not dividing a (_EXP_GATE).
+* 0, when p divides a and T_b >= n;
+* pow() with the exact exponent T_b, while T_b <= p^n: it is short and
+  needs no certificate;
+* above p^n, at a prime not dividing a, the p-adic exponential, once D has
+  a high enough valuation (_EXP_GATE).  At 2 that is every height: a is
+  odd, so every T_b is odd, 2 divides every D, and the series starts at
+  valuation v_2(D) + v_2(a^2 - 1) - 1 >= 3.  At 5 below the gate, pow()
+  takes T_b modulo lambda(5^n) = 4*5^(n-1), which a^lambda == 1 (mod 5^n)
+  allows.
 
 The exponential step takes a^D as exp(D log(a^q)/q).  Its certificate
 (Koblitz, p-adic Numbers, ch. IV):
@@ -189,34 +191,6 @@ def tower_value_capped(a: int, b: int, cap: int) -> int | None:
     return v if v <= cap else None
 
 
-def _tower_step(a: int, j: int, p: int, k: int, x2: int, x5: int) -> int:
-    """The height-j tower of a modulo p^k (p = 2 or 5, k >= 2), from x2 and
-    x5, the height-(j-1) tower modulo 2^k and 5^k.
-
-    The exponent E (the height-(j-1) tower) is known exactly when
-    tower_value_capped(a, j-1, p^k) gives it; otherwise E > p^k >= k.  When
-    p divides a and E >= k, a^E == 0 (mod p^k).  Otherwise a known E goes
-    into pow() as it is, and an unknown one has p not dividing a, so
-    a^lambda == 1 (mod p^k) and E may be replaced by any e == E modulo
-    lambda(p^k), read off x2 and x5: lambda(2^k) = 2^max(k-2, 1) divides
-    2^k, and for lambda(5^k) = 4*5^(k-1), e = r5 + 5^(k-1)*((x2 - r5) mod 4)
-    with r5 = x5 mod 5^(k-1) is E modulo 5^(k-1) and modulo 4, a CRT with no
-    inverse since 5^(k-1) == 1 (mod 4).
-    """
-    m = 1 << k if p == 2 else 5**k
-    e = tower_value_capped(a, j - 1, m)
-    if a % p == 0 and (e is None or e >= k):
-        return 0
-    if e is None:
-        if p == 2:
-            e = x2 % (1 << max(k - 2, 1))
-        else:
-            q5 = 5 ** (k - 1)
-            r5 = x5 % q5
-            e = r5 + q5 * ((x2 - r5) % 4)
-    return pow(a, e, m)
-
-
 def _legendre(k: int, p: int) -> int:
     # v_p(k!) = sum of k // p^i
     e, q = 0, p
@@ -276,11 +250,13 @@ def _padic_log(u: int, p: int, n: int) -> int:
 def _unit_log(a: int, p: int, n: int) -> int:
     """log(a^q)/q mod p^n, q = 4 at p = 5 and 2 at p = 2, for p not dividing a.
 
-    a^D == exp(D * _unit_log(a, p, n)) (mod p^n) whenever q divides D.
+    a^D == exp(D * _unit_log(a, p, n)) (mod p^n) whenever q divides D.  Only
+    a^q modulo p^(n+1) (p^(n+2) at 2, where q halves the log) is taken: for
+    u' == u (mod p^k), log(u') - log(u) = log(u'/u) has valuation at least k.
     """
     if p == 5:
-        return _padic_log(a**4, 5, n) * pow(4, -1, 5**n) % 5**n
-    return _padic_log(a * a, 2, n + 1) >> 1
+        return _padic_log(pow(a, 4, 5 ** (n + 1)), 5, n) * pow(4, -1, 5**n) % 5**n
+    return _padic_log(pow(a, 2, 1 << (n + 2)), 2, n + 1) >> 1
 
 
 # the least valuation of D * log at which the exp series beats pow(): at
@@ -289,47 +265,59 @@ _EXP_GATE = 2
 
 
 def _tower_walk(a: int, n: int):
-    """Yield (x2, x5, v2, v5) for b = 1, 2, ...: the height-b tower T_b of a
-    modulo 2^n and 5^n (n >= 2), and the valuations of D = T_b - T_(b-1),
-    where T_0 = 1 is the empty tower.
+    """Yield (x2, x5, v2, v5, t) for b = 1, 2, ...: the height-b tower T_b of
+    a modulo 2^n and 5^n (n >= 2), the valuations of D = T_b - T_(b-1),
+    where T_0 = 1 is the empty tower, and T_b itself while T_b <= 10^n
+    (None above).
 
     T_(b+1) = a^(T_b) = T_b * a^D.  At a prime p not dividing a, a^D is
     exp(D * l) with l = _unit_log(a, p, n) whenever q divides D, q = 4 at 5
     and 2 at 2.  v_p(l) = w is v_p(a^q - 1) - v_p(q), since log is an
     isometry on principal units, so the series starts at valuation
-    v_p(D) + w and gets shorter as the counts grow.  A prime takes that step
-    once v_p(D) + w reaches _EXP_GATE and T_b is above p^n; otherwise it
-    takes a pow() step (_tower_step).  Its log is computed the first time a
-    height takes the exp step.
+    v_p(D) + w and gets shorter as the counts grow.  w is read off a^q
+    modulo p^(n+1) (p^(n+2) at 2): when that is 1, w is infinite here, and
+    rightly so, since w >= n makes D * l == 0 and exp(D * l) == 1 (mod p^n).
+    Its log is computed the first time a height takes the exp step.
     """
     m2, m5 = 1 << n, 5**n
+    m10 = m2 * m5
     x2 = x5 = 1
     y2, y5 = a % m2, a % m5
-    w2 = _v2(a * a - 1) - 1 if a % 2 else None
-    w5 = _v5(a**4 - 1) if a % 5 else None
+    t = a if a <= m10 else None
+    w2 = _v2(pow(a, 2, m2 << 2) - 1) - 1 if a % 2 else None
+    w5 = _v5(pow(a, 4, 5 * m5) - 1) if a % 5 else None
     log2 = log5 = None
-    tall2 = tall5 = False  # T_b > p^n, and so every taller tower
     b = 1
     while True:
         d2, d5 = (y2 - x2) % m2, (y5 - x5) % m5
         v2, v5 = _v2(d2), _v5(d5)
-        yield y2, y5, v2, v5
-        tall2 = tall2 or tower_value_capped(a, b, m2) is None
-        tall5 = tall5 or tower_value_capped(a, b, m5) is None
-        if tall2 and w2 is not None and v2 >= 1 and v2 + w2 >= _EXP_GATE:
+        yield y2, y5, v2, v5, t
+        if w2 is None and (t is None or t >= n):  # 2 divides a
+            z2 = 0
+        elif t is not None and t <= m2:
+            z2 = pow(a, t, m2)
+        else:  # a odd: every T_b is odd, so 2 divides D, and v2 + w2 >= 3
             if log2 is None:
                 log2 = _unit_log(a, 2, n)
             z2 = y2 * _padic_exp(d2 * log2 % m2, v2 + w2, 2, n) % m2
-        else:
-            z2 = _tower_step(a, b + 1, 2, n, y2, y5)
-        if tall5 and w5 is not None and v2 >= 2 and v5 + w5 >= _EXP_GATE:
+        if w5 is None and (t is None or t >= n):  # 5 divides a
+            z5 = 0
+        elif t is not None and t <= m5:
+            z5 = pow(a, t, m5)
+        elif v2 >= 2 and v5 + w5 >= _EXP_GATE:
             if log5 is None:
                 log5 = _unit_log(a, 5, n)
             z5 = y5 * _padic_exp(d5 * log5 % m5, v5 + w5, 5, n) % m5
         else:
-            z5 = _tower_step(a, b + 1, 5, n, y2, y5)
+            # T_b modulo lambda(5^n) = 4*5^(n-1): r5 + q5*((y2 - r5) mod 4) is T_b
+            # modulo q5 = 5^(n-1) and modulo 4, a CRT with no inverse as q5 == 1 (mod 4)
+            q5 = m5 // 5
+            r5 = y5 % q5
+            z5 = pow(a, r5 + q5 * ((y2 - r5) % 4), m5)
         x2, x5, y2, y5 = y2, y5, z2, z5
         b += 1
+        if t is not None:
+            t = tower_value_capped(a, b, m10)
 
 
 def tetration_mod_pow10(a: int, b: int, ndigits: int, memo: dict | None = None) -> int:
@@ -364,7 +352,7 @@ def tetration_mod_pow10(a: int, b: int, ndigits: int, memo: dict | None = None) 
         state = 0, 0, 0, _tower_walk(a, n)
     j, x2, x5, walk = state
     while j < b and walk is not None:
-        x2, x5, v2, v5 = next(walk)
+        x2, x5, v2, v5, _ = next(walk)
         j += 1
         if v2 >= n and v5 >= n:
             walk = None

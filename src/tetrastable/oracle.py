@@ -69,19 +69,21 @@ def _counts_at_precision(a: int, heights: int, ndigits: int) -> list[int] | None
 
     One walk up heights 1..heights+1 modulo 2^ndigits and 5^ndigits: the
     count at height b is the smaller valuation of T_(b+1) - T_b at the two
-    primes, capped at ndigits, which the walk yields with height b+1.
+    primes, capped at ndigits, which the walk yields with height b+1.  A
+    count n < ndigits is also capped at the length of T_b, which the walk
+    yields exactly whenever that length can be at most n.
     """
     counts = []
     walk = _tower_walk(a, ndigits)
-    next(walk)
-    for b, (_, _, v2, v5) in zip(range(1, heights + 1), walk):
+    *_, t = next(walk)
+    for _, (_, _, v2, v5, t_next) in zip(range(heights), walk):
         n = min(ndigits, v2, v5)
         if n >= ndigits:
             return None
-        exact = tower_value_capped(a, b, 10**n - 1)
-        if exact is not None:
-            n = decimal_length(exact)
+        if t is not None:
+            n = min(n, decimal_length(t))
         counts.append(n)
+        t = t_next
     return counts
 
 

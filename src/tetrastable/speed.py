@@ -157,25 +157,13 @@ def speed_mod20(a: int) -> SpeedResult:
 
 
 def speed_exact(a: int) -> SpeedResult:
-    """V(a) from the exact key-digit map; total on the nonnegative integers."""
-    if a < 0:
-        raise ValueError("base must be nonnegative")
-    if a in (0, 1):
-        return SpeedResult(0, "a in {0,1}: 0")
-    r10 = a % 10
-    if r10 == 0:
-        return SpeedResult(None, "positive multiple of 10: undefined")
-    if r10 in (2, 8):
-        return SpeedResult(int(_v5(a * a + 1)), "mod10 in {2,8}: v5(a^2+1)")
-    if r10 == 4:
-        return SpeedResult(int(_v5(a + 1)), "mod10=4: v5(a+1)")
-    if r10 == 6:
-        return SpeedResult(int(_v5(a - 1)), "mod10=6: v5(a-1)")
+    """V(a) from the exact key-digit map; total on the nonnegative integers.
+
+    Off the coprime classes it is the mod-20 split, which is exact there.
+    """
+    if a < 2 or a % 2 == 0 or a % 5 == 0:
+        return speed_mod20(a)
     r20 = a % 20
-    if r20 == 5:
-        return SpeedResult(int(_v2(a - 1)), "mod20=5: v2(a-1)")
-    if r20 == 15:
-        return SpeedResult(int(_v2(a + 1)), "mod20=15: v2(a+1)")
     tag = TAG_BY_MOD20[r20]
     report = key_digit(a, tag)
     five_rule, two_rule = _COPRIME_RULES[r20]

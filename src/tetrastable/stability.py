@@ -12,7 +12,7 @@ from decimal import Context, Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .arith import InvariantError, TowerNotRepresentable, _v2, _v5, decimal_length, tower_value_capped
+from .arith import InvariantError, TowerNotRepresentable, decimal_length, tower_value_capped
 from .oracle import DEFAULT_BUDGET, certified_sequence, stable_digit_count
 from .speed import speed_bound, speed_exact
 
@@ -74,27 +74,26 @@ def stable_exact(a: int, b: int) -> StableCount:
     if a < 2 or r10 not in (2, 4, 5, 6, 8):
         raise ValueError("defined for a >= 2 with a mod 10 in {2,4,5,6,8}")
     r20 = a % 20
+    v = speed_bound(a)  # V(a) on these classes
     if r10 in (2, 8):
-        v = int(_v5(a * a + 1))
         if r20 in (2, 18):
             value = 0 if b == 1 else (b - 2) * v
             return StableCount.exact(value, "mod20 in {2,18}: 0 then (b-2)V")
         return StableCount.exact((b - 1) * v, "mod20 in {8,12}: (b-1)V")
     if r10 == 4:
-        return StableCount.exact((b - 1) * int(_v5(a + 1)), "mod10=4: (b-1)V")
+        return StableCount.exact((b - 1) * v, "mod10=4: (b-1)V")
     if r10 == 6:
         if b < 2:
             raise FormulaRangeError("the mod10=6 formula starts at b=2")
-        return StableCount.exact((b + 1) * int(_v5(a - 1)), "mod10=6: (b+1)V")
+        return StableCount.exact((b + 1) * v, "mod10=6: (b+1)V")
     if a == 5:
         value = 1 if b == 1 else (4 if b == 2 else 8 + 2 * (b - 3))
         return StableCount.exact(value, "a=5: 1, 4, 8+2(b-3)")
     if b < 2:
         raise FormulaRangeError("the mod10=5 formulas start at b=2")
-    w = int(_v2(a * a - 1)) - 1
     if r20 == 15:
-        return StableCount.exact(b * w + 1, "mod20=15: bV+1")
-    return StableCount.exact((b + 1) * w, "mod20=5: (b+1)V")
+        return StableCount.exact(b * v + 1, "mod20=15: bV+1")
+    return StableCount.exact((b + 1) * v, "mod20=5: (b+1)V")
 
 
 def stable_bounds(a: int, b: int) -> StableCount:

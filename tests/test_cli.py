@@ -265,6 +265,8 @@ GOLDEN_REPORTS = [
     (("sequence", "3", "--max-b", "100"), "3749be9347e73e7bc07c37b496f63617080292a7adaaa9abd8971e7c216b2dd3"),
     (("sequence", "99", "--max-b", "60"), "65f1d4a1cbd289b6425107a19a66da280d697e67c4f3d2dbe8314594b73cd021"),
     (("sequence", "163574218751", "--max-b", "20"), "9f75a9a48cf68b478338dca78f1b055667a10ed03eda4c02e07bdafee4f3d2de"),
+    (("sequence", "2", "--max-b", "60"), "c2ba2ea9e26196e0c27ae32c2ef8339b3d88a35a71911812aea0081f6a60b5b0"),
+    (("sequence", "15", "--max-b", "25"), "07c9ef32ded34069194be5aa4a7b47d53688a05cf40c411bcfc45d280966874f"),
     (("stable", "3", "10"), "343d629ccacffc1ea3cf23ea59bf14ca0a2eb48a8176a095f1eb05c49238830c"),
     (("stable", "5", "6"), "18164abe9043a164a1007c92fb4092ed652524345256473ddbecf2b350e27f9c"),
     (("stable", "163574218751", "7"), "0dc7bd1e4dc28b6576b906bdb6c028304b2e98441af08ea995d00ddca937e41c"),

@@ -172,7 +172,7 @@ class TestSequenceLaws:
 
 
 def walk_residues(a: int, heights: int, n: int) -> list[tuple[int, int]]:
-    return [(x2, x5) for _, (x2, x5, _, _) in zip(range(heights), _tower_walk(a, n))]
+    return [(x2, x5) for _, (x2, x5, *_) in zip(range(heights), _tower_walk(a, n))]
 
 
 def exp_steps(a: int, heights: int, n: int):
@@ -183,12 +183,25 @@ def exp_steps(a: int, heights: int, n: int):
     steps = []
     walk = _tower_walk(a, n)
     next(walk)
-    for b, (_, _, v2, v5) in zip(range(2, heights), walk):
+    for b, (_, _, v2, v5, t) in zip(range(2, heights), walk):
         for p, vp, min_v2 in ((2, v2, 1), (5, v5, 2)):  # 2 | D at 2, 4 | D at 5
             if (w[p] is not None and v2 >= min_v2 and vp + w[p] >= arith._EXP_GATE and vp + w[p] < n
-                    and tower_value_capped(a, b, p**n) is None):
+                    and (t is None or t > p**n)):
                 steps.append((p, vp + w[p], _exp_terms(vp + w[p], n, p)))
     return steps
+
+
+def exp_primes(monkeypatch) -> list[int]:
+    """The prime of every _padic_exp call from here on, in call order."""
+    primes = []
+    real = arith._padic_exp
+
+    def counting(*args):
+        primes.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(arith, "_padic_exp", counting)
+    return primes
 
 
 _LAMBDA_BASES = list(range(61)) + [99, 100, 125, 128, 1000, 2**20, 5**9, 163574218751]
@@ -218,10 +231,12 @@ class TestExpWalk:
                 want = lambda_tower_mod(a, b, 2**n), lambda_tower_mod(a, b, 5**n)
                 assert got[b - 1] == want, (b, n)
 
-    @pytest.mark.parametrize("a", [3, 7, 11, 13, 2, 5, 99, 163574218751] + _TWO_MOD_FOUR + _PLANTED)
+    @pytest.mark.parametrize("a", [3, 7, 11, 13, 2, 5, 99, 163574218751, 10**70 + 1] + _TWO_MOD_FOUR + _PLANTED)
     def test_residues_match_pow_walk_at_every_precision(self, a):
         # every precision from 10 to 99, so that some exp steps sum a last
-        # term whose valuation is exactly n - 1 (K = p^j and n = K*v - (K-1)/(p-1) + 1)
+        # term whose valuation is exactly n - 1 (K = p^j and n = K*v - (K-1)/(p-1) + 1);
+        # for 10^70 + 1 at n <= 69, a^2 == 1 (mod 2^(n+2)) and a^4 == 1 (mod 5^(n+1)),
+        # so the walk's w2 and w5 are infinite
         for n in range(10, 100):
             assert walk_residues(a, 30, n) == pow_walk(a, 30, n), n
 
@@ -240,7 +255,7 @@ class TestExpWalk:
         for a in _TWO_MOD_FOUR:
             walk = _tower_walk(a, 40)
             next(walk)
-            _, _, v2, v5 = next(walk)
+            _, _, v2, v5, _ = next(walk)
             assert v2 == 1 and v5 == 0 and naive_valuation(a**4 - 1, 5) >= arith._EXP_GATE
 
     def test_counts_match_pow_walk(self):
@@ -250,6 +265,7 @@ class TestExpWalk:
         cases += [(alpha_value(TAG_BY_MOD20[r], k), speed_bound(alpha_value(TAG_BY_MOD20[r], k)) + 3, n)
                   for r in (3, 7, 9, 11, 13, 17, 19) for k, n in ((6, 64), (8, 128), (12, 512))]
         cases += [(rng.randrange(10**29, 10**30), 8, 64) for _ in range(20)]
+        cases += [(rng.randrange(10**99999, 10**100000), 8, 64)]
         failing = 0
         for a, h, n in cases:
             want = pow_walk_counts(a, h, n)
@@ -259,16 +275,22 @@ class TestExpWalk:
 
     @pytest.mark.parametrize("a, heights, exp_prime", [(2, 60, 5), (12, 60, 5), (5, 40, 2), (15, 25, 2)])
     def test_a_base_divisible_by_one_prime_pays_pow_at_that_prime_only(self, monkeypatch, a, heights, exp_prime):
-        primes = []
-        real = arith._tower_step
-
-        def counting(*args):
-            primes.append(args[2])
-            return real(*args)
-
-        monkeypatch.setattr(arith, "_tower_step", counting)
+        primes = exp_primes(monkeypatch)
         assert _counts_at_precision(a, heights, 128) is not None
-        assert primes.count(7 - exp_prime) == heights and primes.count(exp_prime) <= 12
+        assert primes.count(7 - exp_prime) == 0 and primes.count(exp_prime) >= heights - 12
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 64, 200])
+    def test_an_odd_base_takes_exp_at_two_exactly_above_two_to_the_n(self, monkeypatch, n):
+        # at 2 the gate always holds for odd a: every T_b is odd, so 2 | D, and
+        # v2(a^2 - 1) - 1 >= 2; so no exponent is ever reduced modulo lambda(2^n)
+        primes = exp_primes(monkeypatch)
+        for a in list(range(3, 400, 2)) + [163574218751, 10**30 + 7]:
+            walk = _tower_walk(a, n)
+            next(walk)
+            for b in range(1, 13):
+                primes.clear()
+                next(walk)  # the step from T_b to T_(b+1)
+                assert (2 in primes) == (tower_value_capped(a, b, 2**n) is None), (a, n, b)
 
     @pytest.mark.parametrize("a, heights, prefix, ndigits", [(163574218751, 100, 30, 512), (3, 1000, 100, 128)])
     def test_tall_runs(self, a, heights, prefix, ndigits):
