@@ -56,6 +56,9 @@ import sys
 from contextlib import contextmanager
 
 INFINITY = math.inf
+# the largest precision, in digits, the oracle may double up to; it and the
+# errors below live here so that cli can use them without importing the oracle
+DEFAULT_BUDGET = 8192
 
 
 class InvariantError(RuntimeError):
@@ -64,6 +67,18 @@ class InvariantError(RuntimeError):
 
 class TowerNotRepresentable(ValueError):
     """The tower is too tall for an exact digit count to be certified."""
+
+
+class NeedsLargerBudget(RuntimeError):
+    """Raised when the requested count cannot be certified within the digit budget."""
+
+    def __init__(self, a: int, b: int, budget: int):
+        super().__init__(
+            f"stable digits of the height-{b} tower of {a} exceed the {budget}-digit budget"
+        )
+        self.a = a
+        self.b = b
+        self.budget = budget
 
 
 def _is_prime(p: int) -> bool:

@@ -6,6 +6,9 @@ strings so arbitrary-precision inputs survive the round trip).
 
 Exit codes: 0 ok, 1 verification failure or violated invariant, 2
 usage/parse error, 3 budget exhausted.
+
+Only arith and decadic are imported here; each command imports the other
+layers it runs, so a cold alpha call loads neither the oracle nor stability.
 """
 from __future__ import annotations
 
@@ -13,8 +16,7 @@ import argparse
 import json
 import sys
 
-from . import oracle, speed, stability
-from .arith import InvariantError, _no_str_digits_limit
+from .arith import DEFAULT_BUDGET, InvariantError, NeedsLargerBudget, TowerNotRepresentable, _no_str_digits_limit
 from .decadic import AlphaTag, alpha_digits
 
 EXIT_OK = 0
@@ -75,6 +77,8 @@ def _emit(report: dict, args, lines: list[str]) -> None:
 
 
 def cmd_speed(args) -> int:
+    from . import speed
+
     a = args.a
     exact = speed.speed_exact(a)
     by100 = speed.speed_mod100(a)
@@ -105,6 +109,8 @@ def cmd_speed(args) -> int:
 
 
 def cmd_sequence(args) -> int:
+    from . import oracle
+
     seq = oracle.speed_sequence(args.a, args.max_b, args.budget)
     result = {
         "entries": seq.entries,
@@ -123,6 +129,8 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_stable(args) -> int:
+    from . import stability
+
     count = stability.stable_count(args.a, args.b, args.budget)
     result = {
         "kind": count.kind,
@@ -142,6 +150,8 @@ def cmd_stable(args) -> int:
 
 
 def cmd_ratio(args) -> int:
+    from . import stability
+
     ratio = stability.stable_ratio(args.a, args.b, args.budget)
     result = {"numerator": ratio.numerator, "denominator": ratio.denominator, "ratio": float(ratio)}
     report = _report("ratio", {"a": str(args.a), "b": args.b}, result)
@@ -150,6 +160,8 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_min_height(args) -> int:
+    from . import stability
+
     plan = stability.min_height(args.a, args.target, args.budget)
     report = _report(
         "min-height",
@@ -161,6 +173,8 @@ def cmd_min_height(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import speed
+
     tier = speed.classify_tier(args.a)
     report = _report("classify", {"a": str(args.a)}, {"tier": tier.value})
     _emit(report, args, [f"tier of {args.a}: {tier.value}"])
@@ -180,6 +194,8 @@ def cmd_alpha(args) -> int:
 
 def _verify_base(a: int, max_b: int, budget: int) -> tuple[int, list[dict]]:
     """Run every cross-check for one base; returns (checks run, failures)."""
+    from . import oracle, speed, stability
+
     failures: list[dict] = []
     checks = 0
 
@@ -276,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--out", metavar="PATH", help="also write the JSON report to PATH")
-        p.add_argument("--budget", type=_positive_int, default=oracle.DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                        help="largest precision, in digits, the oracle may double up to "
                             "(it bounds digits, not time)")
 
@@ -340,10 +356,10 @@ def main(argv: list[str] | None = None) -> int:
         except InvariantError as exc:
             print(f"error: invariant violated: {exc}", file=sys.stderr)
             return EXIT_VERIFY_FAILED
-        except oracle.NeedsLargerBudget as exc:
+        except NeedsLargerBudget as exc:
             print(f"error: needs-larger-budget: {exc}", file=sys.stderr)
             return EXIT_BUDGET
-        except (ValueError, stability.TowerNotRepresentable) as exc:
+        except (ValueError, TowerNotRepresentable) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import (
+    DEFAULT_BUDGET,
     InvariantError,
+    NeedsLargerBudget,
     TowerNotRepresentable,
     _tower_walk,
     _v10,
@@ -22,21 +24,8 @@ from .arith import (
 )
 from .speed import speed_bound
 
-DEFAULT_BUDGET = 8192
 _START_DIGITS = 64
 _MACHINE_RANGE = 1 << 63
-
-
-class NeedsLargerBudget(RuntimeError):
-    """Raised when the requested count cannot be certified within the digit budget."""
-
-    def __init__(self, a: int, b: int, budget: int):
-        super().__init__(
-            f"stable digits of the height-{b} tower of {a} exceed the {budget}-digit budget"
-        )
-        self.a = a
-        self.b = b
-        self.budget = budget
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .arith import INFINITY, InvariantError, _v2, _v5
-from .decadic import AlphaTag, alpha_digit_at, key_digit
+from .decadic import AlphaTag, key_digit
 
 # mod-20 residue of the base -> the constant its digits are compared against
 TAG_BY_MOD20 = {

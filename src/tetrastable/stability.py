@@ -12,8 +12,8 @@ from decimal import Context, Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .arith import InvariantError, TowerNotRepresentable, decimal_length, tower_value_capped
-from .oracle import DEFAULT_BUDGET, certified_sequence, stable_digit_count
+from .arith import DEFAULT_BUDGET, InvariantError, TowerNotRepresentable, decimal_length, tower_value_capped
+from .oracle import certified_sequence, stable_digit_count
 from .speed import speed_bound, speed_exact
 
 

@@ -289,18 +289,38 @@ def test_golden_reports_are_byte_identical(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv[:2]
 
 
+@pytest.mark.parametrize("argv", [("alpha", "07", "50"), ("speed", _BIG + "93")])
+def test_golden_reports_survive_a_cold_call(argv):
+    # the path a shell call takes: runpy, the lazy package, the commands' own imports
+    out = _fresh([sys.executable, "-m", "tetrastable.cli", *argv, "--json"])
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(GOLDEN_REPORTS)[argv]
+
+
 def test_import_stays_light():
+    code = (
+        "import sys, tetrastable\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tetrastable.')))\n"
+        "print(sorted(set(tetrastable.__all__) - set(dir(tetrastable))))\n"
+        "from tetrastable.cli import main\n"
+        "main(['alpha', '51', '40', '--json']); main(['speed', '7', '--json'])\n"
+        "heavy = {'mpmath', 'concurrent.futures.process', 'tetrastable.oracle', 'tetrastable.stability',\n"
+        "         'decimal', 'fractions'}\n"
+        "print(sorted(heavy & set(sys.modules)))"
+    )
+    out = _python(code).splitlines()
+    assert out[0] == "[]"  # the bare package import loads no submodule
+    assert out[1] == "[]"  # and dir() lists every public name before its first read
+    assert out[-1] == "[]"
+
+
+def _fresh(cmd: list[str]) -> str:
     src = str(Path(tetrastable.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, tetrastable.cli; print(sorted({'mpmath', 'concurrent.futures.process'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
 
 
 def _python(code: str) -> str:
-    src = str(Path(tetrastable.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    return _fresh([sys.executable, "-c", code])
 
 
 def test_ratio_runs_without_mpmath():
