@@ -47,7 +47,8 @@ The exponential step takes a^D as exp(D log(a^q)/q).  Its certificate
 
 tetration_mod_pow10 stops the walk at the first height whose D is 0 modulo
 10^n: from there on every taller tower has the same n digits (the proof is
-in its docstring).
+in its docstring).  _crt joins the residues modulo 2^n and 5^n, there and
+for decadic's constants.
 """
 from __future__ import annotations
 
@@ -81,25 +82,35 @@ class NeedsLargerBudget(RuntimeError):
         self.budget = budget
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
+    """Miller-Rabin on the first 13 primes: exact below 3.3*10^24 (OEIS A014233)."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    s = _v2(p - 1)
+    for q in _MR_BASES:
+        x = pow(q, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        f += 2
     return True
 
 
 def padic_valuation(d: int, p: int) -> int | float:
     """Largest q with p^q dividing |d|; INFINITY when d = 0.
 
-    Raises ValueError unless p is prime.
+    Raises ValueError unless p is prime; past 3.3*10^24 a strong probable
+    prime to the bases of _is_prime is taken as one.
     """
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -335,6 +346,13 @@ def _tower_walk(a: int, n: int):
             t = tower_value_capped(a, b, m10)
 
 
+def _crt(x2: int, x5: int, n: int) -> int:
+    """The residue modulo 10^n that is x2 modulo 2^n and x5 modulo 5^n."""
+    m2, m5 = 1 << n, 5**n
+    x5 %= m5
+    return x5 + m5 * ((x2 - x5) * pow(m5, -1, m2) % m2)
+
+
 def tetration_mod_pow10(a: int, b: int, ndigits: int, memo: dict | None = None) -> int:
     """Height-b tower of a modulo 10^ndigits.
 
@@ -373,9 +391,7 @@ def tetration_mod_pow10(a: int, b: int, ndigits: int, memo: dict | None = None) 
             walk = None
     if memo is not None:
         memo[(a, n)] = j, x2, x5, walk
-    m2, m5 = 1 << ndigits, 5**ndigits
-    x2, x5 = x2 % m2, x5 % m5
-    return x5 + m5 * ((x2 - x5) * pow(m5, -1, m2) % m2)
+    return _crt(x2, x5, ndigits)
 
 
 def tetration_mod(a: int, b: int, modulus: int) -> int:

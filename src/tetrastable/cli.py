@@ -5,7 +5,7 @@ deterministic JSON report with --json (stable key order, bases echoed as
 strings so arbitrary-precision inputs survive the round trip).
 
 Exit codes: 0 ok, 1 verification failure or violated invariant, 2
-usage/parse error, 3 budget exhausted.
+usage/parse error or an unwritable --out path, 3 budget exhausted.
 
 Only arith and decadic are imported here; each command imports the other
 layers it runs, so a cold alpha call loads neither the oracle nor stability.
@@ -71,9 +71,12 @@ def _emit(report: dict, args, lines: list[str]) -> None:
             print(line)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        try:
+            with open(out, "w") as fh:
+                json.dump(report, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def cmd_speed(args) -> int:
@@ -289,58 +292,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, budget: bool):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--out", metavar="PATH", help="also write the JSON report to PATH")
-        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                       help="largest precision, in digits, the oracle may double up to "
-                            "(it bounds digits, not time)")
+        if budget:  # only the commands that run the oracle
+            p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                           help="largest precision, in digits, the oracle may double up to "
+                                "(it bounds digits, not time)")
 
     p = sub.add_parser("speed", help="constant congruence speed of a base")
     p.add_argument("a", type=_nonneg_int)
-    add_common(p)
+    add_common(p, budget=False)
     p.set_defaults(func=cmd_speed)
 
     p = sub.add_parser("sequence", help="measured V(a,b) for b = 1..max_b")
     p.add_argument("a", type=_nonneg_int)
     p.add_argument("--max-b", type=_positive_int, default=8)
-    add_common(p)
+    add_common(p, budget=True)
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("stable", help="stable digits of the height-b tower")
     p.add_argument("a", type=_nonneg_int)
     p.add_argument("b", type=_positive_int)
-    add_common(p)
+    add_common(p, budget=True)
     p.set_defaults(func=cmd_stable)
 
     p = sub.add_parser("ratio", help="stable digits as a fraction of the tower's length")
     p.add_argument("a", type=_nonneg_int)
     p.add_argument("b", type=_positive_int)
-    add_common(p)
+    add_common(p, budget=True)
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("min-height", help="least height reaching a target stable-digit count")
     p.add_argument("a", type=_nonneg_int)
     p.add_argument("target", type=_nonneg_int)
-    add_common(p)
+    add_common(p, budget=True)
     p.set_defaults(func=cmd_min_height)
 
     p = sub.add_parser("classify", help="tier of the constant congruence speed")
     p.add_argument("a", type=_positive_int)
-    add_common(p)
+    add_common(p, budget=False)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("alpha", help="trailing digits of a 10-adic solution of y^5 = y")
     p.add_argument("tag", type=_tag, help="two-digit tag, e.g. 51 or 07")
     p.add_argument("n", type=_positive_int)
-    add_common(p)
+    add_common(p, budget=False)
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("verify", help="scan a range: closed forms vs the tower oracle")
     p.add_argument("--range", type=_range_arg, required=True, metavar="LO..HI")
     p.add_argument("--max-b", type=_positive_int, default=6)
     p.add_argument("--workers", type=_positive_int, default=1)
-    add_common(p)
+    add_common(p, budget=True)
     p.set_defaults(func=cmd_verify)
 
     return parser

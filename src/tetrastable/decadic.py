@@ -5,14 +5,14 @@ Two primitive limits generate everything:
     e5 = lim 5^(2^k)   (the nontrivial idempotent, tail ...890625)
     t2 = lim 2^(5^k)   (tail ...186432)
 
-Both have closed forms modulo 10^n, split by the CRT into 2^n and 5^n:
+Modulo 10^n each is fixed by its residues modulo 2^n and 5^n, which
+arith._crt recombines:
 
-* e5 is 1 mod 2^n and 0 mod 5^n, so e5 = 5^n * (5^-n mod 2^n) (_e5).
-  Once 2^k >= n, 5^(2^k) is 0 mod 5^n; once k >= n-2 it is 1 mod 2^n,
-  because the order of 5 modulo 2^n divides 2^max(n-2, 0).  So the sequence
-  is constant mod 10^n from there on, and equal to this CRT value.
-* t2 is 0 mod 2^n, and mod 5^n it is the root of y^4 = 1 that is 2 mod 5,
-  the Teichmueller lift of 2 (_t2).  Once 5^k >= n, 2^(5^k) is 0 mod 2^n.
+* e5 is 1 mod 2^n and 0 mod 5^n.  Once 2^k >= n, 5^(2^k) is 0 mod 5^n; once
+  k >= n-2 it is 1 mod 2^n, because the order of 5 modulo 2^n divides
+  2^max(n-2, 0).  So the sequence is constant mod 10^n from there on.
+* t2 is 0 mod 2^n, and mod 5^n it is the root y of y^4 = 1 that is 2 mod 5,
+  the Teichmueller lift of 2.  Once 5^k >= n, 2^(5^k) is 0 mod 2^n.
   Mod 5^(k+1), x = 2^(5^k) has x^4 = 2^(4*5^k) = 1 (Euler) and x = 2 mod 5
   (Fermat).  The derivative 4y^3 of y^4 - 1 is a unit mod 5, so by Hensel's
   lemma that root is unique mod every 5^j, and x is it mod 5^(k+1).
@@ -20,9 +20,12 @@ Both have closed forms modulo 10^n, split by the CRT into 2^n and 5^n:
   it equals wherever y^4 = 1, so each step doubles the digits.
 
 Every solution of y^5 = y in the 10-adic integers is an integer combination
-of 1, e5 and t2; the table below lists all fifteen, indexed by their last
-two digits.  Note the combination for alpha_51 is 1 - 2*e5 (its printed
-tail ...218751 confirms this; 1 - 2*t2 does not solve y^5 = y).
+c1 + ce*e5 + ct*t2; the table below lists all fifteen, indexed by their last
+two digits.  Such a combination is c1 + ce mod 2^n and c1 + ct*y mod 5^n, so
+alpha_value builds any of them, e5 (alpha_25) and t2 (alpha_32) included,
+with one CRT, and lifts y only when ct is not 0.  Nothing is computed at
+import.  Note the combination for alpha_51 is 1 - 2*e5 (its printed tail
+...218751 confirms this; 1 - 2*t2 does not solve y^5 = y).
 
 A base agrees with a constant in its last j digits exactly when 10^j divides
 their difference, so key_digit reads the first disagreement off a valuation.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import InvariantError, _no_str_digits_limit, _v10, decimal_length, digit
+from .arith import InvariantError, _crt, _no_str_digits_limit, _v10, decimal_length, digit
 
 # (x2, x1) -> coefficients (c1, ce, ct) with alpha = c1 + ce*e5 + ct*t2
 _COMBINATIONS = {
@@ -105,27 +108,6 @@ class KeyDigitReport:
     matched_prefix_len: int
 
 
-def _e5(n: int) -> int:
-    m5 = 5**n
-    return m5 * pow(m5, -1, 1 << n)
-
-
-def _t2(n: int) -> int:
-    # Newton for y^4 = 1 from y = 2 (mod 5); y^-3 = y wherever y^4 = 1
-    y, k = 2, 1
-    while k < n:
-        k = min(2 * k, n)
-        m = 5**k
-        y = (y - y * (pow(y, 4, m) - 1) * pow(4, -1, m)) % m
-    m5 = 5**n
-    return (y * pow(1 << n, -1, m5) % m5) << n
-
-
-# depths up to _SHALLOW, such as key_digit's first probe, truncate these
-_SHALLOW = 64
-_E5_SHALLOW, _T2_SHALLOW = _e5(_SHALLOW), _t2(_SHALLOW)
-
-
 def _digits(x: int, n: int) -> str:
     with _no_str_digits_limit():
         return str(x).rjust(n, "0")
@@ -136,31 +118,26 @@ def idempotent_e5(n: int) -> str:
 
     Satisfies e5 == 1 (mod 2^n) and e5 == 0 (mod 5^n).
     """
-    if n < 1:
-        raise ValueError("depth must be >= 1")
-    return _digits(_e5(n), n)
+    return alpha_digits(AlphaTag(2, 5), n).digits
 
 
 def two_tower_t2(n: int) -> str:
     """n trailing digits of lim 2^(5^n)."""
-    if n < 1:
-        raise ValueError("depth must be >= 1")
-    return _digits(_t2(n), n)
+    return alpha_digits(AlphaTag(3, 2), n).digits
 
 
 def alpha_value(tag: AlphaTag, n: int) -> int:
     if n < 1:
         raise ValueError("depth must be >= 1")
     c1, ce, ct = _COMBINATIONS[(tag.x2, tag.x1)]
-    m = 10**n
-    if n <= _SHALLOW:
-        return (c1 + ce * _E5_SHALLOW + ct * _T2_SHALLOW) % m
-    v = c1
-    if ce:
-        v += ce * _e5(n)
-    if ct:
-        v += ct * _t2(n)
-    return v % m
+    y = 0
+    if ct:  # Newton for y^4 = 1 from y = 2 (mod 5); y^-3 = y wherever y^4 = 1
+        y, k = 2, 1
+        while k < n:
+            k = min(2 * k, n)
+            m = 5**k
+            y = (y - y * (pow(y, 4, m) - 1) * pow(4, -1, m)) % m
+    return _crt(c1 + ce, c1 + ct * y, n)
 
 
 def alpha_digits(tag: AlphaTag, n: int) -> AlphaDigits:

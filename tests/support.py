@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 # Trailing digits of the fifteen 10-adic solutions of y^5 = y, keyed by the
 # last-two-digit tag.  Frozen reference data (verified fixed points of x^5).
@@ -240,8 +241,15 @@ def crt_fifth_power_root(label: str, n: int) -> int:
     t = int(label)
     m2, m5 = 2**n, 5**n
     y2 = {0: 0, 1: 1, 3: -1}[t % 4] % m2
-    y5 = pow(t % 5, 5 ** (n - 1), m5)
+    # the lift is multiplicative and 2 generates the units mod 5: 2, 4, 3 = 2^1, 2^2, 2^3
+    y5 = 0 if t % 5 == 0 else pow(_lift_of_two(n), {1: 0, 2: 1, 4: 2, 3: 3}[t % 5], m5)
     return y5 + m5 * ((y2 - y5) * pow(m5, -1, m2) % m2)
+
+
+@lru_cache(maxsize=64)
+def _lift_of_two(n: int) -> int:
+    # 2^(5^(n-1)) mod 5^n: at 4300 digits one such pow takes seconds
+    return pow(2, 5 ** (n - 1), 5**n)
 
 
 def scan_key_digit(a: int, label: str) -> tuple[int, int, int]:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tetrastable import arith
 from tetrastable.arith import (
     INFINITY,
+    _crt,
     _exp_terms,
     _padic_exp,
     _padic_log,
@@ -36,10 +37,19 @@ class TestPadicValuation:
         assert padic_valuation(-8, 2) == 3
         assert padic_valuation(-50, 5) == 2
 
-    @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 100])
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the bases
+    # 2, 3, 5 and 7, and the last one to every prime base up to 37
+    @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 100, 561, 3215031751, 318665857834031151167461])
     def test_rejects_non_primes(self, p):
         with pytest.raises(ValueError):
             padic_valuation(12, p)
+
+    def test_accepts_large_primes(self):
+        # trial division up to the square root would take minutes on 2^61 - 1
+        assert padic_valuation(18, 3) == 2 and padic_valuation(98, 7) == 2
+        p = 2**61 - 1
+        assert padic_valuation(p**3 * 10, p) == 3
+        assert padic_valuation(10**14 + 30, 10**14 + 31) == 0
 
     @given(d=st.integers(1, 10**6), r=st.integers(1, 10**6), p=st.sampled_from([2, 3, 5, 7]))
     def test_multiplicative(self, d, r, p):
@@ -61,6 +71,17 @@ class TestPadicValuation:
 
 
 _VALUATIONS = sorted({0, 1} | {2**k + s for k in range(1, 12) for s in (-1, 1)} | set(range(3995, 4006)))
+
+
+class TestCrt:
+    @given(x=st.integers(0, 10**120), n=st.integers(1, 80), k2=st.integers(-3, 3), k5=st.integers(-3, 3))
+    @example(x=7, n=1, k2=0, k5=-1)
+    @example(x=10**5 - 1, n=5, k2=-1, k5=-1)
+    @example(x=10**40 - 1, n=40, k2=2, k5=3)
+    def test_recombines_the_residues(self, x, n, k2, k5):
+        # either residue may come unreduced or negative: any representative of its class
+        m2, m5 = 2**n, 5**n
+        assert _crt(x % m2 + k2 * m2, x % m5 + k5 * m5, n) == x % 10**n
 
 
 class TestFastValuation:

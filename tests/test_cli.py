@@ -79,6 +79,24 @@ class TestSequenceCommand:
         assert "needs-larger-budget" in err
 
 
+class TestOptions:
+    def test_budget_belongs_to_the_oracle_commands(self, capsys):
+        for argv in (("alpha", "51", "10"), ("speed", "51"), ("classify", "51")):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--budget", "64"])
+            assert exc.value.code == 2, argv
+        assert "--budget" in capsys.readouterr().err
+        for argv in (("stable", "5", "3"), ("ratio", "2", "4"), ("min-height", "4", "7"), ("verify", "--range", "2..3")):
+            assert run(capsys, *argv, "--budget", "64")[0] == 0, argv
+
+    def test_unwritable_out_path_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "speed", "5", "--out", str(path))
+        assert code == 2
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+        assert not path.exists()
+
+
 class TestSmallCommands:
     def test_stable(self, capsys):
         code, report, _ = run_json(capsys, "stable", "5", "3")
@@ -278,6 +296,10 @@ GOLDEN_REPORTS = [
     (("classify", "3"), "6380254afbda9e914050d07830b336d61921d93ece7075a7a8287a39e9ed3fb9"),
     (("alpha", "51", "100"), "39bb13dec326aa758f5a28303db7c41d5d32d83948086d00475d229e6120f319"),
     (("alpha", "07", "50"), "4a502cf76f108b413b3829a457540896cbb794fb3b72a746fc412f0e9fb8513b"),
+    (("alpha", "93", "4300"), "4f32a778bc3335ffe758a6bac57c2db80adef92b53b75b999bf9c950c13ea466"),
+    (("alpha", "32", "2700"), "1f348fe01483c80c453ad103de49e46e33ffdff6277eba890593ddeb9092a07e"),
+    (("alpha", "57", "1000"), "b0f3802c808d9d2ad5dcb073bbb9bca48e9943ae708469c80c323b6571f395e6"),
+    (("speed", "45215487480163574218751"), "94a724dc345c2dd954599a56820d09aeaacccb758939f8898f72bcd46c37493f"),
     (("verify", "--range", "2..2000"), "0721e6269d7815c167af887a4ff66837271a84c54fead8f7467bf813c6a1f213"),
 ]
 

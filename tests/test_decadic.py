@@ -67,7 +67,7 @@ class TestClosedForms:
             assert idempotent_e5(n) == str(fixed_point_constant(5, 2, n)).rjust(n, "0")
             assert two_tower_t2(n) == str(fixed_point_constant(2, 5, n)).rjust(n, "0")
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 50, 777])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 64, 65, 777, 4300])
     def test_all_fifteen_match_the_crt_roots(self, n):
         for tag in ALPHA_TAGS:
             assert alpha_value(tag, n) == crt_fifth_power_root(tag.label, n)
@@ -220,24 +220,6 @@ class TestKeyDigit:
         assert (r.l, r.s_l, r.diff) == scan_key_digit(alpha_value(AlphaTag(5, 1), 40), "51")
         r = key_digit(10**5000 + 51, AlphaTag(5, 1))
         assert (r.l, r.s_l, r.diff) == (3, 0, -7)
-
-
-class TestShallowConstants:
-    def test_truncations_equal_the_closed_forms(self):
-        for n in range(1, 65):
-            assert decadic._E5_SHALLOW % 10**n == decadic._e5(n)
-            assert decadic._T2_SHALLOW % 10**n == decadic._t2(n)
-
-    def test_shallow_depths_build_nothing(self, monkeypatch):
-        def rebuilt(n):
-            raise AssertionError(f"constant rebuilt at depth {n}")
-
-        monkeypatch.setattr(decadic, "_e5", rebuilt)
-        monkeypatch.setattr(decadic, "_t2", rebuilt)
-        for tag in ALPHA_TAGS:
-            assert alpha_value(tag, 64) == crt_fifth_power_root(tag.label, 64)
-        r = key_digit(163574218751, AlphaTag(5, 1))
-        assert (r.l, r.s_l, r.diff) == scan_key_digit(163574218751, "51")
 
 
 class TestDigitStringsPastTheStrDigitsLimit:
