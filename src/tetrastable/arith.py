@@ -178,17 +178,18 @@ def digit(a: int, j: int) -> int:
 def decimal_length(n: int) -> int:
     """Number of decimal digits of n >= 0 (1 for n = 0), without str().
 
-    2^(bits-1) <= n gives the estimate k <= log10(n); powers of ten correct it.
+    x = log10(n) is read off the top 64 bits and the shift; the floats carry
+    an error below 4e-15 + 4e-16*x.  Only when x is within 1e-9*x of an
+    integer k is the floor in doubt, and then n is compared with 10**k.
     """
     if n < 10:
         return 1
-    k = int((n.bit_length() - 1) * 0.30102999566398120)
-    p = 10**k
-    while p > n:
-        k, p = k - 1, p // 10
-    while p * 10 <= n:
-        k, p = k + 1, p * 10
-    return k + 1
+    shift = n.bit_length() - 64
+    x = math.log10(n >> shift) + shift * 0.30102999566398120 if shift > 0 else math.log10(n)
+    k = int(x + 0.5)
+    if -1e-9 * x <= x - k <= 1e-9 * x:
+        return k + (n >= 10**k)
+    return int(x) + 1
 
 
 def tower_value_capped(a: int, b: int, cap: int) -> int | None:

@@ -32,7 +32,7 @@ their difference, so key_digit reads the first disagreement off a valuation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import InvariantError, _crt, _no_str_digits_limit, _v10, decimal_length, digit
 
@@ -56,16 +56,19 @@ _COMBINATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class AlphaTag:
+class AlphaTag(namedtuple("AlphaTag", "x2 x1")):
     """One of the fifteen solutions, identified by its last two digits."""
 
-    x2: int
-    x1: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.x2, self.x1) not in _COMBINATIONS:
-            raise ValueError(f"no 10-adic solution of y^5=y ends in ...{self.x2}{self.x1}")
+    def __new__(cls, x2: int, x1: int) -> "AlphaTag":
+        if (x2, x1) not in _COMBINATIONS:
+            raise ValueError(f"no 10-adic solution of y^5=y ends in ...{x2}{x1}")
+        return super().__new__(cls, x2, x1)
+
+    @classmethod
+    def _make(cls, iterable) -> "AlphaTag":  # so _replace checks the tag too
+        return cls(*iterable)
 
     @classmethod
     def from_label(cls, label: str) -> "AlphaTag":
@@ -84,13 +87,10 @@ class AlphaTag:
 ALPHA_TAGS = tuple(AlphaTag(x2, x1) for (x2, x1) in sorted(_COMBINATIONS, key=lambda t: (t[1], t[0])))
 
 
-@dataclass(frozen=True)
-class AlphaDigits:
+class AlphaDigits(namedtuple("AlphaDigits", "tag n digits")):
     """n trailing digits (most significant left) of one solution."""
 
-    tag: AlphaTag
-    n: int
-    digits: str
+    __slots__ = ()
 
     @property
     def value(self) -> int:
@@ -98,14 +98,8 @@ class AlphaDigits:
             return int(self.digits)
 
 
-@dataclass(frozen=True)
-class KeyDigitReport:
-    """First position where a base departs from its associated constant."""
-
-    l: int
-    s_l: int
-    diff: int
-    matched_prefix_len: int
+KeyDigitReport = namedtuple("KeyDigitReport", "l s_l diff matched_prefix_len")
+KeyDigitReport.__doc__ = "First position where a base departs from its associated constant."
 
 
 def _digits(x: int, n: int) -> str:
@@ -129,7 +123,7 @@ def two_tower_t2(n: int) -> str:
 def alpha_value(tag: AlphaTag, n: int) -> int:
     if n < 1:
         raise ValueError("depth must be >= 1")
-    c1, ce, ct = _COMBINATIONS[(tag.x2, tag.x1)]
+    c1, ce, ct = _COMBINATIONS[tag]
     y = 0
     if ct:  # Newton for y^4 = 1 from y = 2 (mod 5); y^-3 = y wherever y^4 = 1
         y, k = 2, 1

@@ -9,7 +9,7 @@ predicted; the closed forms elsewhere are validated against this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .arith import (
@@ -28,14 +28,10 @@ _START_DIGITS = 64
 _MACHINE_RANGE = 1 << 63
 
 
-@dataclass
-class SpeedSequence:
+class SpeedSequence(namedtuple("SpeedSequence", "a entries frozen_prefix stabilized_at")):
     """Measured V(a,b) for b = 1..max_b with cumulative stable-digit counts."""
 
-    a: int
-    entries: list[int]
-    frozen_prefix: list[int]
-    stabilized_at: int | None
+    __slots__ = ()
 
     @property
     def speed(self) -> int | None:

@@ -7,7 +7,7 @@ tower oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .arith import INFINITY, InvariantError, _v2, _v5
@@ -39,12 +39,10 @@ _COPRIME_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class SpeedResult:
+class SpeedResult(namedtuple("SpeedResult", "speed rule")):
     """V(a) plus the rule that produced it; speed is None when undefined."""
 
-    speed: int | None
-    rule: str
+    __slots__ = ()
 
     @property
     def is_undefined(self) -> bool:

@@ -7,7 +7,7 @@ V(a)+1 apart, and the exact shape is measured through the oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Context, Decimal
 from enum import Enum
 from fractions import Fraction
@@ -21,15 +21,13 @@ class FormulaRangeError(ValueError):
     """The requested height is below the stated range of the matching formula."""
 
 
-@dataclass(frozen=True)
-class StableCount:
-    """Exact count or a bracketing interval, with the formula that produced it."""
+class StableCount(namedtuple("StableCount", "kind value lower upper formula_id")):
+    """Exact count or a bracketing interval, with the formula that produced it.
 
-    kind: str  # "exact" | "bounded"
-    value: int | None
-    lower: int | None
-    upper: int | None
-    formula_id: str
+    kind is "exact" (value == lower == upper) or "bounded" (value is None).
+    """
+
+    __slots__ = ()
 
     @classmethod
     def exact(cls, value: int, formula_id: str) -> "StableCount":
@@ -56,10 +54,7 @@ class StableShape(Enum):
         return (b + 1) * v
 
 
-@dataclass(frozen=True)
-class HeightPlan:
-    target: int
-    height: int
+HeightPlan = namedtuple("HeightPlan", "target height")
 
 
 def stable_exact(a: int, b: int) -> StableCount:

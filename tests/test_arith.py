@@ -354,6 +354,23 @@ class TestDecimalLength:
             for n in (10**k - 1, 10**k, 10**k + 1):
                 assert decimal_length(n) == len(str(n))
 
+    def test_around_powers_of_ten_and_two(self):
+        # where the float estimate of log10 is nearest an integer
+        for k in range(1, 3001):
+            p = 10**k
+            assert (decimal_length(p - 1), decimal_length(p), decimal_length(p + 1)) == (k, k + 1, k + 1)
+        for j in range(1, 5001):
+            for n in (2**j - 1, 2**j):
+                assert decimal_length(n) == len(str(n)), n
+
+    def test_a_million_digits(self):
+        k = 10**6
+        p = 10 ** (k - 1)
+        assert decimal_length(p - 1) == k - 1
+        assert decimal_length(p) == decimal_length(3 * p + 2) == k
+        n = 2**3321928
+        assert p <= n < 10 * p and decimal_length(n) == k
+
     @given(n=st.integers(0, 10**1000))
     def test_matches_str(self, n):
         assert decimal_length(n) == len(str(n))

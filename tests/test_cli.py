@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -204,7 +203,7 @@ class TestVerifyCommand:
         real = oracle.speed_sequence
 
         def uncertified(*args):
-            return dataclasses.replace(real(*args), stabilized_at=None)
+            return real(*args)._replace(stabilized_at=None)
 
         monkeypatch.setattr(oracle, "speed_sequence", uncertified)
         _, failures = _verify_base(7, 6, oracle.DEFAULT_BUDGET)
@@ -326,13 +325,16 @@ def test_import_stays_light():
         "from tetrastable.cli import main\n"
         "main(['alpha', '51', '40', '--json']); main(['speed', '7', '--json'])\n"
         "heavy = {'mpmath', 'concurrent.futures.process', 'tetrastable.oracle', 'tetrastable.stability',\n"
-        "         'decimal', 'fractions'}\n"
-        "print(sorted(heavy & set(sys.modules)))"
+        "         'decimal', 'fractions', 'dataclasses', 'inspect'}\n"
+        "print(sorted(heavy & set(sys.modules)))\n"
+        "for name in tetrastable.__all__: getattr(tetrastable, name)\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     out = _python(code).splitlines()
     assert out[0] == "[]"  # the bare package import loads no submodule
     assert out[1] == "[]"  # and dir() lists every public name before its first read
-    assert out[-1] == "[]"
+    assert out[-2] == "[]"  # a cold alpha or speed call stays off the heavy imports
+    assert out[-1] == "[]"  # and no module of the package imports dataclasses
 
 
 def _fresh(cmd: list[str]) -> str:

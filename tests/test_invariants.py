@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import pickle
 import sys
 from pathlib import Path
 
@@ -60,3 +61,65 @@ def test_the_lazy_namespace_lists_binds_and_refuses_names():
     for missing in ("no_such_name", "_tower_walk", "_HOME_"):
         with pytest.raises(AttributeError, match=missing):
             getattr(tetrastable, missing)
+
+
+# Each result type, one instance, and its repr as the dataclass versions printed it.
+RESULT_TYPES = [
+    ("AlphaTag", ("x2", "x1"), lambda: tetrastable.AlphaTag(5, 1), "AlphaTag(x2=5, x1=1)"),
+    (
+        "AlphaDigits",
+        ("tag", "n", "digits"),
+        lambda: tetrastable.alpha_digits(tetrastable.AlphaTag(5, 1), 6),
+        "AlphaDigits(tag=AlphaTag(x2=5, x1=1), n=6, digits='218751')",
+    ),
+    (
+        "KeyDigitReport",
+        ("l", "s_l", "diff", "matched_prefix_len"),
+        lambda: tetrastable.key_digit(7, tetrastable.AlphaTag(0, 7)),
+        "KeyDigitReport(l=3, s_l=0, diff=-8, matched_prefix_len=2)",
+    ),
+    (
+        "SpeedResult",
+        ("speed", "rule"),
+        lambda: tetrastable.speed_exact(7),
+        "SpeedResult(speed=2, rule='mod20=7, l=3, |s_l-alpha_07[l]|=8!=5: v5(a^2+1)')",
+    ),
+    (
+        "SpeedSequence",
+        ("a", "entries", "frozen_prefix", "stabilized_at"),
+        lambda: tetrastable.speed_sequence(7, 5),
+        "SpeedSequence(a=7, entries=[0, 2, 2, 2, 2], frozen_prefix=[0, 2, 4, 6, 8], stabilized_at=2)",
+    ),
+    (
+        "StableCount",
+        ("kind", "value", "lower", "upper", "formula_id"),
+        lambda: tetrastable.stable_count(7, 2),
+        "StableCount(kind='exact', value=2, lower=2, upper=2, formula_id='stabilized tail: n(bbar) + (b-bbar)V')",
+    ),
+    ("HeightPlan", ("target", "height"), lambda: tetrastable.min_height(7, 10), "HeightPlan(target=10, height=6)"),
+]
+
+
+@pytest.mark.parametrize("name, fields, make, text", RESULT_TYPES, ids=[t[0] for t in RESULT_TYPES])
+def test_result_types_are_immutable_named_tuples(name, fields, make, text):
+    cls = getattr(tetrastable, name)
+    value = make()
+    assert type(value) is cls
+    assert cls._fields == fields
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], getattr(value, fields[0]))
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls and copy == value
+    assert value._replace()._asdict() == dict(zip(fields, value))
+
+
+def test_alpha_tag_checks_every_way_it_is_built():
+    AlphaTag = tetrastable.AlphaTag
+    with pytest.raises(ValueError, match=r"\.\.\.11"):
+        AlphaTag(1, 1)
+    with pytest.raises(ValueError, match=r"\.\.\.11"):
+        AlphaTag(5, 1)._replace(x2=1)
+    table = {AlphaTag.from_label("51"): "one minus twice e5"}
+    assert table[AlphaTag(5, 1)] == table[(5, 1)] == "one minus twice e5"
+    assert str(AlphaTag.from_label("07")) == "alpha_07"
