@@ -44,6 +44,13 @@ The exponential step takes a^D as exp(D log(a^q)/q).  Its certificate
   term k has valuation at least k*w - floor(log_p k) with w = v_p(z),
   which does not fall as k grows, and dividing by k loses at most
   floor(log_p K) digits, the guard of _padic_log.
+* When K = 1, exp(x) is 1 + x mod p^n, with no Horner loop and no inverse.
+
+The walk reads every v_p(D) off the residues it computed.  After an exp
+step at 5 it first tests the value the isometry predicts for the next
+difference D', h = v5(D) + w5 (exp(x) - 1 has the valuation of x): h is
+taken only when h < n, 5^h divides D' mod 5^n and 5^(h+1) does not;
+otherwise _vp finds the valuation.
 
 tetration_mod_pow10 stops the walk at the first height whose D is 0 modulo
 10^n: from there on every taller tower has the same n digits (the proof is
@@ -244,6 +251,8 @@ def _padic_exp(x: int, v: int | float, p: int, n: int) -> int:
     if v >= n:
         return 1
     k = _exp_terms(v, n, p)
+    if k == 1:  # x^2/2 and every later term are 0 mod p^n
+        return (1 + x) % p**n
     e = _legendre(k, p)
     m = p ** (n + e)
     t = c = 1  # Horner on sum x^i * k!/i!, with c = k!/(i-1)! (mod p^(n+e))
@@ -286,6 +295,17 @@ def _unit_log(a: int, p: int, n: int) -> int:
     return _padic_log(pow(a, 2, 1 << (n + 2)), 2, n + 1) >> 1
 
 
+def _slopes(a: int, n: int) -> tuple[int | float | None, int | float | None]:
+    """(w2, w5) = (v2(a^2 - 1) - 1, v5(a^4 - 1)), None at a prime dividing a.
+
+    Read off a^q modulo 2^(n+2) and 5^(n+1), so a long base is reduced before
+    it is raised: each is exact when at most n and infinite above.
+    """
+    w2 = _v2(pow(a, 2, 1 << (n + 2)) - 1) - 1 if a % 2 else None
+    w5 = _v5(pow(a, 4, 5 ** (n + 1)) - 1) if a % 5 else None
+    return w2, w5
+
+
 # the least valuation of D * log at which the exp series beats pow(): at
 # valuation 1 it has about 4n/3 terms at 5 and costs as much as pow()
 _EXP_GATE = 2
@@ -311,13 +331,19 @@ def _tower_walk(a: int, n: int):
     x2 = x5 = 1
     y2, y5 = a % m2, a % m5
     t = a if a <= m10 else None
-    w2 = _v2(pow(a, 2, m2 << 2) - 1) - 1 if a % 2 else None
-    w5 = _v5(pow(a, 4, 5 * m5) - 1) if a % 5 else None
+    w2, w5 = _slopes(a, n)
     log2 = log5 = None
+    h5 = INFINITY  # v5 of the next D, when an exp step at 5 predicts it
     b = 1
     while True:
         d2, d5 = (y2 - x2) % m2, (y5 - x5) % m5
-        v2, v5 = _v2(d2), _v5(d5)
+        v2 = _v2(d2)
+        if h5 < n:
+            q, r = divmod(d5, 5**h5)
+            v5 = h5 if not r and q % 5 else _v5(d5)
+        else:
+            v5 = _v5(d5)
+        h5 = INFINITY
         yield y2, y5, v2, v5, t
         if w2 is None and (t is None or t >= n):  # 2 divides a
             z2 = 0
@@ -334,7 +360,8 @@ def _tower_walk(a: int, n: int):
         elif v2 >= 2 and v5 + w5 >= _EXP_GATE:
             if log5 is None:
                 log5 = _unit_log(a, 5, n)
-            z5 = y5 * _padic_exp(d5 * log5 % m5, v5 + w5, 5, n) % m5
+            h5 = v5 + w5
+            z5 = y5 * _padic_exp(d5 * log5 % m5, h5, 5, n) % m5
         else:
             # T_b modulo lambda(5^n) = 4*5^(n-1): r5 + q5*((y2 - r5) mod 4) is T_b
             # modulo q5 = 5^(n-1) and modulo 4, a CRT with no inverse as q5 == 1 (mod 4)

@@ -14,9 +14,11 @@ from functools import lru_cache
 
 from .arith import (
     DEFAULT_BUDGET,
+    INFINITY,
     InvariantError,
     NeedsLargerBudget,
     TowerNotRepresentable,
+    _slopes,
     _tower_walk,
     _v10,
     decimal_length,
@@ -73,13 +75,56 @@ def _counts_at_precision(a: int, heights: int, ndigits: int) -> list[int] | None
 
 
 def _stable_counts(a: int, heights: int, budget: int) -> list[int]:
+    """Counts for b = 1..H, H = heights, from the first pass of the ladder
+    n = 64, 128, 256, ... (at most budget) whose counts all stay below n.
+
+    A pass at n fails exactly when both v_p(D_(b+1)) >= n for some b <= H,
+    where D_b = T_b - T_(b-1) and T_0 = 1.  So the ladder starts at its least
+    value above a floor that is proved to be at most v_p(D_(H+1)) at both
+    primes: every pass at or below the floor would fail, and skipping them
+    changes no count.  At each prime p:
+
+    * p does not divide a.  Take q = 4 at 5 and 2 at 2, and the slope
+      w_p = v_p(a^q - 1) - v_p(q) (arith._slopes).  D_(b+1) = T_b*(a^D_b - 1)
+      with T_b a unit at p, and by the lifting-the-exponent lemma
+      v_p(a^D - 1) = v_p(D) + w_p whenever q divides D.  Once q divides D_c,
+      it divides every later D: at 2, v_2 rises by w_2 >= 2; at 5, 4 | D_b
+      makes 4 | D_(b+1) as well, by the same rise when a is odd, and when a
+      is even because v_2(D_(b+1)) = v_2(T_b) = T_(b-1)*v_2(a) >= 2 (b >= 2;
+      D_1 = a - 1 is odd).  So v_p(D_(H+1)) >= (H + 1 - c)*w_p.  The first
+      such height c is 1 at 2 (D_1 = a - 1 is even) and, at 5, 1 when
+      a == 1 (mod 4), 2 when a == 3 (v_2(D_2) = w_2 + v_2(a - 1)) or 0
+      (v_2(D_2) = v_2(a)), and 3 when a == 2 (v_2(D_3) = v_2(T_2) = a).
+    * p divides a.  a^D_H - 1 is then a unit at p, so
+      v_p(D_(H+1)) = v_p(T_H) = T_(H-1)*v_p(a) >= T_(H-1).
+
+    The slopes are read exactly up to 64 digits, or up to budget when one
+    is larger; one above budget reads as infinite, and so does the floor,
+    which no ladder value within budget can tell apart.  The start is clamped
+    to the largest ladder value within budget, so NeedsLargerBudget is
+    raised on the same inputs as by doubling from 64.  The floor only
+    decides which passes run: every count is still read off a pass that
+    certifies it.
+    """
     if a == 0:
         return [0] * heights
     if a == 1:
         return [1] * heights
     if a % 10 == 0:
         return [_trailing_zero_count(a, b) for b in range(1, heights + 1)]
+    slopes = _slopes(a, _START_DIGITS)
+    if INFINITY in slopes:  # 5^(budget+1) alone costs as much as a 64-digit pass
+        slopes = _slopes(a, budget)
+    floor = INFINITY
+    for w, c in zip(slopes, (1, (2, 1, 3, 2)[a % 4])):
+        if w is None:
+            t = tower_value_capped(a, heights - 1, budget)
+            floor = min(floor, budget if t is None else t)
+        else:
+            floor = min(floor, (heights + 1 - c) * w if heights >= c else 0)
     ndigits = _START_DIGITS
+    while ndigits <= floor and 2 * ndigits <= budget:
+        ndigits *= 2
     while ndigits <= budget:
         counts = _counts_at_precision(a, heights, ndigits)
         if counts is not None:

@@ -65,10 +65,25 @@ def tier_of(speed: int | None) -> Tier:
     return {0: Tier.V0, 1: Tier.V1, 2: Tier.V2}[speed]
 
 
+def _v5_square_plus_one(a: int) -> int:
+    """v5(a^2 + 1) from a modulo 5^k, k doubling until the valuation falls
+    below k, so that a long base is never squared."""
+    k = 32
+    while True:
+        m = 5**k
+        r = a % m
+        v = _v5((r * r + 1) % m)
+        if v < k:
+            return v
+        k *= 2
+
+
 def _apply(rule: tuple[int, int, bool], a: int) -> int:
     p, shift, square = rule
-    arg = a * a + 1 if square else a + shift
-    v = _v2(arg) if p == 2 else _v5(arg)
+    if square:  # every squared rule is 5-adic
+        v = _v5_square_plus_one(a)
+    else:
+        v = _v2(a + shift) if p == 2 else _v5(a + shift)
     if v == INFINITY:
         raise InvariantError(f"{_rule_text(rule)} is infinite at a={a}")
     return int(v)
@@ -89,10 +104,10 @@ def speed_bound(a: int) -> int:
     if r5 == 1:
         return int(_v5(a - 1))
     if r5 in (2, 3):
-        return int(_v5(a * a + 1))
+        return _v5_square_plus_one(a)
     if r5 == 4:
         return int(_v5(a + 1))
-    return int(_v2(a * a - 1)) - 1
+    return _v2(a - 1) + _v2(a + 1) - 1  # v2(a^2 - 1)
 
 
 def speed_mod100(a: int) -> SpeedResult:
@@ -110,15 +125,15 @@ def speed_mod100(a: int) -> SpeedResult:
     if r100 == 51:
         return SpeedResult(min(int(_v2(a + 1)), int(_v5(a - 1))), "mod100=51: min(v2(a+1), v5(a-1))")
     if r10 in (2, 8):
-        return SpeedResult(int(_v5(a * a + 1)), "mod10 in {2,8}: v5(a^2+1)")
+        return SpeedResult(_v5_square_plus_one(a), "mod10 in {2,8}: v5(a^2+1)")
     if r100 in (7, 43):
-        return SpeedResult(min(int(_v2(a + 1)), int(_v5(a * a + 1))), "mod100 in {7,43}: min(v2(a+1), v5(a^2+1))")
+        return SpeedResult(min(int(_v2(a + 1)), _v5_square_plus_one(a)), "mod100 in {7,43}: min(v2(a+1), v5(a^2+1))")
     if r100 in (57, 93):
-        return SpeedResult(min(int(_v2(a - 1)), int(_v5(a * a + 1))), "mod100 in {57,93}: min(v2(a-1), v5(a^2+1))")
+        return SpeedResult(min(int(_v2(a - 1)), _v5_square_plus_one(a)), "mod100 in {57,93}: min(v2(a-1), v5(a^2+1))")
     if r10 == 4:
         return SpeedResult(int(_v5(a + 1)), "mod10=4: v5(a+1)")
     if r10 == 5:
-        return SpeedResult(int(_v2(a * a - 1)) - 1, "mod10=5: v2(a^2-1)-1")
+        return SpeedResult(_v2(a - 1) + _v2(a + 1) - 1, "mod10=5: v2(a^2-1)-1")
     if r10 == 6:
         return SpeedResult(int(_v5(a - 1)), "mod10=6: v5(a-1)")
     if r100 == 49:
@@ -138,7 +153,7 @@ def speed_mod20(a: int) -> SpeedResult:
     if r10 == 0:
         return SpeedResult(None, "positive multiple of 10: undefined")
     if r10 in (2, 8):
-        return SpeedResult(int(_v5(a * a + 1)), "mod10 in {2,8}: v5(a^2+1)")
+        return SpeedResult(_v5_square_plus_one(a), "mod10 in {2,8}: v5(a^2+1)")
     if r10 == 4:
         return SpeedResult(int(_v5(a + 1)), "mod10=4: v5(a+1)")
     if r10 == 6:

@@ -148,6 +148,24 @@ class TestPadicExpLog:
                     cases += 1
         assert cases == 36
 
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_one_term_boundary(self, p):
+        # at the least v with K = 1, exp(x) is 1 + x mod p^n; one below it K
+        # is larger, and the Horner loop sums the terms
+        rng = random.Random(p + 14)
+        low = 2 if p == 2 else 1  # the least v the series is certified at
+        for n in range(3, 70):
+            v = next(v for v in range(low, n) if _exp_terms(v, n, p) == 1)
+            for u in range(max(low, v - 1), v + 1):
+                assert (_exp_terms(u, n, p) == 1) == (u == v)
+                for _ in range(2):
+                    unit = rng.randrange(1, p**n)
+                    unit += unit % p == 0
+                    x = p**u * unit
+                    if u == v:  # x^2/2 is 0 mod p^n, and so is every later term
+                        assert naive_valuation(x * x, p) - (p == 2) >= n
+                    assert _padic_exp(x % p**n, u, p, n) == series_exp(x, p, n), (n, u)
+
     @pytest.mark.parametrize("p, q", [(2, 2), (5, 4)])
     def test_log_matches_the_series(self, p, q):
         for a in (3, 7, 11, 13, 99, 163574218751):

@@ -194,6 +194,13 @@ class TestVerifyCommand:
         assert report["result"]["failures"] == []
         assert report["result"]["bases_checked"] == 90
 
+    def test_speed_90_exceeds_the_default_budget(self, capsys):
+        # its certified run reaches height 93, whose counts pass 8,192 digits
+        a = str(10**90 + 1)
+        code, _, err = run(capsys, "verify", "--range", f"{a}..{a}")
+        assert code == 3
+        assert f"height-93 tower of {a} exceed the 8192-digit budget" in err
+
     def test_deterministic_across_worker_counts(self, capsys):
         _, one, _ = run_json(capsys, "verify", "--range", "2..80", "--max-b", "4")
         _, two, _ = run_json(capsys, "verify", "--range", "2..80", "--max-b", "4", "--workers", "2")

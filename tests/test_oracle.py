@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tetrastable import arith
+from tetrastable import arith, oracle
 from tetrastable.arith import TowerNotRepresentable, _exp_terms, digit, tower_value_capped
 from tetrastable.decadic import alpha_value
 from tetrastable.oracle import (
@@ -330,3 +330,119 @@ class TestPlantedHighSpeed:
         assert condition.endswith("|=5") == five
         assert rule.startswith("v2" if five else "v5")
         assert certified_sequence(a).speed == speed_mod20(a).speed == speed
+
+
+class TestWalkValuations:
+    def test_every_v5_is_the_valuation_of_the_residue_difference(self, monkeypatch):
+        # after an exp step at 5 the walk tests v5 + w5 first; count the steps
+        # whose prediction was below n and those where it reached n
+        primes = exp_primes(monkeypatch)
+        seen = {"predicted": 0, "past_n": 0}
+        for a in _LAMBDA_BASES + _TWO_MOD_FOUR + _PLANTED:
+            w5 = naive_valuation(a**4 - 1, 5) if a % 5 else None
+            for n in range(10, 100):
+                walk = _tower_walk(a, n)
+                _, x5, _, v5, _ = next(walk)
+                for _ in range(30):
+                    primes.clear()
+                    _, y5, v2, next_v5, _ = next(walk)
+                    assert next_v5 == naive_valuation((y5 - x5) % 5**n, 5), (a, n)
+                    if 5 in primes:
+                        seen["predicted" if v5 + w5 < n else "past_n"] += 1
+                    x5, v5 = y5, next_v5
+                    if v2 >= n and v5 >= n:
+                        break
+        assert seen["predicted"] > 10000 and seen["past_n"] > 1000, seen
+
+
+def passes_run(monkeypatch) -> list[int]:
+    """The precision of every pass the oracle runs from here on, in order."""
+    precisions = []
+    real = oracle._counts_at_precision
+
+    def recording(a, heights, ndigits):
+        precisions.append(ndigits)
+        return real(a, heights, ndigits)
+
+    monkeypatch.setattr(oracle, "_counts_at_precision", recording)
+    return precisions
+
+
+def doubling_reference(a: int, heights: int) -> tuple[int, list[int]]:
+    """The ladder value 64*2^k where plain doubling first certifies the counts
+    of heights 1..heights, and those counts, by the independent pow() walk."""
+    n = 64
+    while (counts := pow_walk_counts(a, heights, n)) is None:
+        n *= 2
+    return n, counts
+
+
+class TestStartingPrecision:
+    """The oracle starts above a proved floor: never past the precision where
+    doubling from 64 certifies, and with the same counts."""
+
+    def check(self, precisions: list[int], a: int, heights) -> list[int]:
+        starts = []
+        for h in heights:
+            precisions.clear()
+            counts = speed_sequence(a, h).frozen_prefix
+            n, want = doubling_reference(a, h)
+            assert precisions[0] <= n and counts == want, (a, h, precisions, n)
+            starts.append(precisions[0])
+        return starts
+
+    def test_small_bases(self, monkeypatch):
+        precisions = passes_run(monkeypatch)
+        starts = []
+        for a in range(2, 2001):
+            if a % 10:
+                starts += self.check(precisions, a, range(1, speed_bound(a) + 4))
+        assert sum(n > 64 for n in starts) > 10
+
+    @pytest.mark.parametrize("a", _TWO_MOD_FOUR + _PLANTED)
+    def test_planted_bases(self, monkeypatch, a):
+        self.check(passes_run(monkeypatch), a, [*range(1, 9), speed_bound(a) + 3])
+
+    @pytest.mark.parametrize("a", [5**40 * 4 - 1, 5**40 * 3 + 1, 5**40 - 1, 5**40 + 1, 5**40 * 2 + 1,
+                                   2**42 + 1, 2**40 - 1])
+    def test_planted_slopes_in_every_class_mod_four(self, monkeypatch, a):
+        # w5 = 40 with a == 3, 0, 0, 2, 3 (mod 4), where 4 first divides D
+        # at height 2, 2, 2, 3, 2; and w2 = 42, 40 on multiples of 5
+        self.check(passes_run(monkeypatch), a, range(1, 9))
+
+    @pytest.mark.parametrize("r20", [3, 11])
+    def test_planted_high_speed_bases(self, monkeypatch, r20):
+        # the top heights of a speed-30 base cost pow() about 20 s each
+        self.check(passes_run(monkeypatch), planted_base(r20, 30, r20 == 3), range(1, 9))
+
+    @pytest.mark.parametrize("r20", [3, 7, 9, 11, 13, 17, 19])
+    def test_alpha_truncations(self, monkeypatch, r20):
+        # the tall-towers stream: 6-14-digit truncations at heights up to speed_bound + 12
+        precisions = passes_run(monkeypatch)
+        for length in (6, 8, 10, 14):
+            a = alpha_value(TAG_BY_MOD20[r20], length)
+            sb = speed_bound(a)
+            heights = range(1, sb + 13) if length <= 8 else (1, 2, sb + 3, sb + 8, sb + 12)
+            starts = self.check(precisions, a, heights)
+            assert starts[-1] > 64
+
+
+class TestBudget:
+    """The start is clamped to the budget, so the same inputs raise as when
+    the oracle doubled from 64."""
+
+    def test_a_budget_below_the_floor_raises(self, monkeypatch):
+        # 10^90 + 1 at height 93: the floor is 93 * 90 digits at both primes
+        a = 10**90 + 1
+        precisions = passes_run(monkeypatch)
+        with pytest.raises(NeedsLargerBudget) as exc:
+            speed_sequence(a, 93)
+        assert str(exc.value) == f"stable digits of the height-93 tower of {a} exceed the 8192-digit budget"
+        assert precisions == [8192]
+
+    @pytest.mark.parametrize("budget", [63, 64, 100, 127])
+    def test_budgets_between_ladder_values(self, budget):
+        # 163574218751 needs 128 digits by height 8
+        with pytest.raises(NeedsLargerBudget, match=f"height-8 tower of 163574218751 exceed the {budget}-digit budget"):
+            speed_sequence(163574218751, 8, budget=budget)
+        assert speed_sequence(163574218751, 8, budget=128).frozen_prefix == [12, 31, 46, 61, 76, 91, 104, 117]

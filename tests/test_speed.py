@@ -1,11 +1,16 @@
+import random
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tetrastable.decadic import alpha_value
 from tetrastable.oracle import certified_sequence
 from tetrastable.speed import (
     C_COMPLEMENT,
     Q_COMPLEMENT,
+    TAG_BY_MOD20,
     Tier,
     classify_tier,
     speed_bound,
@@ -118,3 +123,56 @@ class TestTier:
         fast = speed_exact(a).speed >= 2
         expected = a % 5 == 0 or a % 25 in {1, 7, 18, 24}
         assert fast == expected
+
+
+_TERMS = {"a-1": lambda a: a - 1, "a+1": lambda a: a + 1, "a^2+1": lambda a: a * a + 1, "a^2-1": lambda a: a * a - 1}
+
+
+def rule_value(rule: str, a: int) -> int:
+    """The formula a rule names, such as min(v2(a+1), v5(a^2+1)), evaluated
+    on the squares themselves with naive valuations."""
+    formula = rule.split(": ")[-1]
+    v = min(naive_valuation(_TERMS[arg](a), int(p)) for p, arg in re.findall(r"v(\d)\(([^)]*)\)", formula))
+    return v - 1 if formula.endswith(")-1") else v
+
+
+def long_bases() -> list[int]:
+    rng = random.Random(14)
+    bases = [rng.randrange(2, 10**k) for k in (3, 30, 300) for _ in range(150)]
+    # 5-adic roots of -1 and 2-adic near-units past the k = 32, 64, 128
+    # steps of the reduction, at the end of a long base
+    for k in (31, 32, 33, 63, 64, 65, 128, 129):
+        root = pow(2, 5 ** (k - 1), 5**k)
+        bases += [root + 5**k * rng.randrange(1, 10**40) for _ in range(3)]
+        bases += [1 + 2 ** (k + 2) * rng.randrange(1, 10**40) for _ in range(3)]
+        bases += [2 ** (k + 2) * rng.randrange(1, 10**40) - 1 for _ in range(3)]
+    bases += [alpha_value(tag, 60) + 10**61 for tag in TAG_BY_MOD20.values()]
+    return [a for a in bases if a % 10]
+
+
+class TestNoSquaredBase:
+    """The maps take v5(a^2 + 1) from a reduced base and v2(a^2 - 1) as
+    v2(a - 1) + v2(a + 1); each result is the formula its rule names."""
+
+    def test_every_map_equals_its_rule_on_the_squares(self):
+        for a in long_bases():
+            for f in (speed_mod100, speed_mod20, speed_exact):
+                result = f(a)
+                if "(" in result.rule:
+                    assert result.speed == rule_value(result.rule, a), (f.__name__, a, result)
+
+    def test_bound_equals_its_formula_on_the_squares(self):
+        for a in long_bases():
+            r5 = a % 5
+            want = (naive_valuation(a * a - 1, 2) - 1 if r5 == 0 else
+                    naive_valuation(a * a + 1, 5) if r5 in (2, 3) else naive_valuation(a + (1 if r5 == 4 else -1), 5))
+            assert speed_bound(a) == want, a
+
+    def test_a_million_digits(self):
+        # a base of 10^6 digits, which the maps reduce before squaring
+        a = 3 * 10**999999 + 2
+        assert speed_bound(a) == speed_mod100(a).speed == speed_mod20(a).speed == speed_exact(a).speed == 1
+        root = pow(2, 5**69, 5**70)
+        a = root + 3 * 10**999999  # a == root (mod 5^999999)
+        want = naive_valuation(root * root + 1, 5)
+        assert want >= 70 and speed_bound(a) == speed_mod20(a).speed == want
