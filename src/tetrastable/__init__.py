@@ -20,14 +20,14 @@ _HOME = {
         "arith": (
             "INFINITY", "InvariantError", "TowerNotRepresentable", "DEFAULT_BUDGET", "NeedsLargerBudget",
             "padic_valuation", "tetration_mod", "tetration_mod_pow10", "tower_value_capped", "digit",
+            "speed_bound",
         ),
         "decadic": (
             "AlphaTag", "AlphaDigits", "KeyDigitReport", "ALPHA_TAGS", "idempotent_e5", "two_tower_t2",
             "alpha_value", "alpha_digits", "alpha_digit_at", "key_digit",
         ),
         "speed": (
-            "SpeedResult", "Tier", "tier_of", "speed_bound", "speed_mod100", "speed_mod20", "speed_exact",
-            "classify_tier",
+            "SpeedResult", "Tier", "tier_of", "speed_mod100", "speed_mod20", "speed_exact", "classify_tier",
         ),
         "oracle": (
             "SpeedSequence", "stable_digit_count", "speed_sequence", "measure_stabilization", "measured_speed",

@@ -295,15 +295,33 @@ def _unit_log(a: int, p: int, n: int) -> int:
     return _padic_log(pow(a, 2, 1 << (n + 2)), 2, n + 1) >> 1
 
 
-def _slopes(a: int, n: int) -> tuple[int | float | None, int | float | None]:
-    """(w2, w5) = (v2(a^2 - 1) - 1, v5(a^4 - 1)), None at a prime dividing a.
+def _slope(a: int, p: int, cap: int | float = INFINITY) -> int | float | None:
+    """The walk's slope at p, w2 = v2(a^2 - 1) - 1 or w5 = v5(a^4 - 1), None
+    when p divides a.
 
-    Read off a^q modulo 2^(n+2) and 5^(n+1), so a long base is reduced before
-    it is raised: each is exact when at most n and infinite above.
+    Exact when at most cap and INFINITY above.  It is read off a^q modulo
+    p^(k+1+v_p(q)), q = 2 at 2 and 4 at 5, with k = 32, 64, 128, ... up to
+    cap until the residue is not 1: a long base is reduced before it is
+    raised, and the cost follows min(w, cap).
     """
-    w2 = _v2(pow(a, 2, 1 << (n + 2)) - 1) - 1 if a % 2 else None
-    w5 = _v5(pow(a, 4, 5 ** (n + 1)) - 1) if a % 5 else None
-    return w2, w5
+    if a % p == 0:
+        return None
+    q, g, vp = (2, 1, _v2) if p == 2 else (4, 0, _v5)
+    k = min(32, cap)
+    while True:
+        w = vp(pow(a, q, p ** (k + 1 + g)) - 1) - g  # exact when at most k
+        if w < INFINITY or k >= cap:
+            return w
+        k = min(2 * k, cap)
+
+
+def speed_bound(a: int) -> int:
+    """The walk's slope at 5, w5 = v5(a^4 - 1), or at 2, w2 = v2(a^2 - 1) - 1,
+    when 5 divides a: an upper bound for V(a), equal to it off the key-digit
+    cases (speed explains why)."""
+    if a < 2 or a % 10 == 0:
+        raise ValueError("defined for a >= 2 with a not a multiple of 10")
+    return _slope(a, 5 if a % 5 else 2)
 
 
 # the least valuation of D * log at which the exp series beats pow(): at
@@ -321,9 +339,9 @@ def _tower_walk(a: int, n: int):
     exp(D * l) with l = _unit_log(a, p, n) whenever q divides D, q = 4 at 5
     and 2 at 2.  v_p(l) = w is v_p(a^q - 1) - v_p(q), since log is an
     isometry on principal units, so the series starts at valuation
-    v_p(D) + w and gets shorter as the counts grow.  w is read off a^q
-    modulo p^(n+1) (p^(n+2) at 2): when that is 1, w is infinite here, and
-    rightly so, since w >= n makes D * l == 0 and exp(D * l) == 1 (mod p^n).
+    v_p(D) + w and gets shorter as the counts grow.  w is read by _slope
+    with cap n: above n it reads as infinite, and rightly so, since w >= n
+    makes D * l == 0 and exp(D * l) == 1 (mod p^n).
     Its log is computed the first time a height takes the exp step.
     """
     m2, m5 = 1 << n, 5**n
@@ -331,7 +349,7 @@ def _tower_walk(a: int, n: int):
     x2 = x5 = 1
     y2, y5 = a % m2, a % m5
     t = a if a <= m10 else None
-    w2, w5 = _slopes(a, n)
+    w2, w5 = _slope(a, 2, n), _slope(a, 5, n)
     log2 = log5 = None
     h5 = INFINITY  # v5 of the next D, when an exp step at 5 predicts it
     b = 1

@@ -4,8 +4,10 @@ The number of stable digits of the height-b tower is the number of trailing
 digits it shares with the height-(b+1) tower, capped by its own decimal
 length (a short tower cannot freeze more digits than it has: the height-2
 tower of 5 agrees with all taller towers modulo 10^5, but 3125 only has four
-digits, so four digits are stable).  Everything here is measured, never
+digits, so four digits are stable).  Every count is measured, never
 predicted; the closed forms elsewhere are validated against this module.
+The walk's slopes (arith._slope) decide only which precision is tried
+first and from which height a measured speed is certified constant.
 """
 from __future__ import annotations
 
@@ -18,13 +20,13 @@ from .arith import (
     InvariantError,
     NeedsLargerBudget,
     TowerNotRepresentable,
-    _slopes,
+    _slope,
     _tower_walk,
     _v10,
     decimal_length,
+    speed_bound,
     tower_value_capped,
 )
-from .speed import speed_bound
 
 _START_DIGITS = 64
 _MACHINE_RANGE = 1 << 63
@@ -85,7 +87,7 @@ def _stable_counts(a: int, heights: int, budget: int) -> list[int]:
     changes no count.  At each prime p:
 
     * p does not divide a.  Take q = 4 at 5 and 2 at 2, and the slope
-      w_p = v_p(a^q - 1) - v_p(q) (arith._slopes).  D_(b+1) = T_b*(a^D_b - 1)
+      w_p = v_p(a^q - 1) - v_p(q) (arith._slope).  D_(b+1) = T_b*(a^D_b - 1)
       with T_b a unit at p, and by the lifting-the-exponent lemma
       v_p(a^D - 1) = v_p(D) + w_p whenever q divides D.  Once q divides D_c,
       it divides every later D: at 2, v_2 rises by w_2 >= 2; at 5, 4 | D_b
@@ -98,13 +100,11 @@ def _stable_counts(a: int, heights: int, budget: int) -> list[int]:
     * p divides a.  a^D_H - 1 is then a unit at p, so
       v_p(D_(H+1)) = v_p(T_H) = T_(H-1)*v_p(a) >= T_(H-1).
 
-    The slopes are read exactly up to 64 digits, or up to budget when one
-    is larger; one above budget reads as infinite, and so does the floor,
-    which no ladder value within budget can tell apart.  The start is clamped
-    to the largest ladder value within budget, so NeedsLargerBudget is
-    raised on the same inputs as by doubling from 64.  The floor only
-    decides which passes run: every count is still read off a pass that
-    certifies it.
+    The slopes are read once, exact up to budget: one above reads as
+    infinite, and so may the floor.  A floor at or above the last ladder
+    value within budget fails every pass, so NeedsLargerBudget is raised at
+    once, on the same inputs as by doubling from 64.  The floor only decides
+    which passes run: every count is read off a pass that certifies it.
     """
     if a == 0:
         return [0] * heights
@@ -112,18 +112,15 @@ def _stable_counts(a: int, heights: int, budget: int) -> list[int]:
         return [1] * heights
     if a % 10 == 0:
         return [_trailing_zero_count(a, b) for b in range(1, heights + 1)]
-    slopes = _slopes(a, _START_DIGITS)
-    if INFINITY in slopes:  # 5^(budget+1) alone costs as much as a 64-digit pass
-        slopes = _slopes(a, budget)
     floor = INFINITY
-    for w, c in zip(slopes, (1, (2, 1, 3, 2)[a % 4])):
+    for w, c in ((_slope(a, 2, budget), 1), (_slope(a, 5, budget), (2, 1, 3, 2)[a % 4])):
         if w is None:
             t = tower_value_capped(a, heights - 1, budget)
             floor = min(floor, budget if t is None else t)
         else:
             floor = min(floor, (heights + 1 - c) * w if heights >= c else 0)
     ndigits = _START_DIGITS
-    while ndigits <= floor and 2 * ndigits <= budget:
+    while ndigits <= min(floor, budget):
         ndigits *= 2
     while ndigits <= budget:
         counts = _counts_at_precision(a, heights, ndigits)
@@ -145,9 +142,10 @@ def stable_digit_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> int:
 def speed_sequence(a: int, max_b: int, budget: int = DEFAULT_BUDGET) -> SpeedSequence:
     """Measure V(a,b) for b = 1..max_b.
 
-    stabilized_at is reported only when it is certified: the run must reach
-    the height from which the speed is provably constant (speed_bound(a)+2
-    for a >= 2; heights 1 and 2 for the bases 0 and 1).
+    Every entry is a measured count difference.  stabilized_at is reported
+    only when the run reaches the stabilization bound, from which the paper
+    proves the speed constant: height speed_bound(a) + 2 for a >= 2, the
+    walk's slope at 5, or at 2 when 5 divides a; 1 and 2 for a = 0 and 1.
     """
     if a < 0 or max_b < 1:
         raise ValueError("need a >= 0 and max_b >= 1")
@@ -197,7 +195,9 @@ def measure_stabilization(a: int, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def measured_speed(a: int, budget: int = DEFAULT_BUDGET) -> int:
-    """V(a) as measured by the tower oracle (independent of every closed form)."""
+    """V(a) as measured by the tower oracle: a measured count difference,
+    certified constant from the stabilization bound w + 2, with w the walk's
+    slope (see speed_sequence)."""
     if a in (0, 1):
         return 0
     if a % 10 == 0:

@@ -4,13 +4,24 @@ Three independent maps are kept side by side on purpose: the mod-100 case
 split, its mod-20 refinement, and the exact key-digit map.  All three must
 agree everywhere; the verification harness scans them against the modular
 tower oracle.
+
+The valuations the rules name are the slopes of the tower walk
+(arith._slope), w2 = v2(a^2 - 1) - 1 and w5 = v5(a^4 - 1), by lifting the
+exponent.  At 5, a^4 - 1 = (a - 1)(a + 1)(a^2 + 1) has one factor that is
+not a unit: w5 is v5(a - 1), v5(a + 1) or v5(a^2 + 1) as a == 1, 4, or 2
+or 3 (mod 5).  At 2, for odd a, one of a -/+ 1 is 2 (mod 4): w2 is
+v2(a - 1) when a == 1 (mod 4) and v2(a + 1) when a == 3.  So speed_bound
+(in arith) is w5, or w2 when 5 divides a; the rows of _COPRIME_RULES name
+the factors that match a mod 20, so the mod-20 split is the least slope at
+a prime not dividing a, and the key-digit map tells which one that is.
+v5(a^2 + 1) is read as w5, so a long base is never squared.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
 
-from .arith import INFINITY, InvariantError, _v2, _v5
+from .arith import _slope, _v2, _v5, speed_bound
 from .decadic import AlphaTag, key_digit
 
 # mod-20 residue of the base -> the constant its digits are compared against
@@ -65,28 +76,12 @@ def tier_of(speed: int | None) -> Tier:
     return {0: Tier.V0, 1: Tier.V1, 2: Tier.V2}[speed]
 
 
-def _v5_square_plus_one(a: int) -> int:
-    """v5(a^2 + 1) from a modulo 5^k, k doubling until the valuation falls
-    below k, so that a long base is never squared."""
-    k = 32
-    while True:
-        m = 5**k
-        r = a % m
-        v = _v5((r * r + 1) % m)
-        if v < k:
-            return v
-        k *= 2
-
-
 def _apply(rule: tuple[int, int, bool], a: int) -> int:
+    # a >= 3 is coprime to 10, so each valuation is finite
     p, shift, square = rule
-    if square:  # every squared rule is 5-adic
-        v = _v5_square_plus_one(a)
-    else:
-        v = _v2(a + shift) if p == 2 else _v5(a + shift)
-    if v == INFINITY:
-        raise InvariantError(f"{_rule_text(rule)} is infinite at a={a}")
-    return int(v)
+    if square:  # every squared rule is v5(a^2+1), at a == 2 or 3 (mod 5): w5
+        return _slope(a, 5)
+    return _v2(a + shift) if p == 2 else _v5(a + shift)
 
 
 def _rule_text(rule: tuple[int, int, bool]) -> str:
@@ -94,20 +89,6 @@ def _rule_text(rule: tuple[int, int, bool]) -> str:
     if square:
         return f"v{p}(a^2+1)"
     return f"v{p}(a{'+' if shift > 0 else '-'}1)"
-
-
-def speed_bound(a: int) -> int:
-    """Least 2-adic/5-adic upper bound for V(a) (equals V(a) off the key-digit cases)."""
-    if a < 2 or a % 10 == 0:
-        raise ValueError("defined for a >= 2 with a not a multiple of 10")
-    r5 = a % 5
-    if r5 == 1:
-        return int(_v5(a - 1))
-    if r5 in (2, 3):
-        return _v5_square_plus_one(a)
-    if r5 == 4:
-        return int(_v5(a + 1))
-    return _v2(a - 1) + _v2(a + 1) - 1  # v2(a^2 - 1)
 
 
 def speed_mod100(a: int) -> SpeedResult:
@@ -125,15 +106,15 @@ def speed_mod100(a: int) -> SpeedResult:
     if r100 == 51:
         return SpeedResult(min(int(_v2(a + 1)), int(_v5(a - 1))), "mod100=51: min(v2(a+1), v5(a-1))")
     if r10 in (2, 8):
-        return SpeedResult(_v5_square_plus_one(a), "mod10 in {2,8}: v5(a^2+1)")
+        return SpeedResult(_slope(a, 5), "mod10 in {2,8}: v5(a^2+1)")
     if r100 in (7, 43):
-        return SpeedResult(min(int(_v2(a + 1)), _v5_square_plus_one(a)), "mod100 in {7,43}: min(v2(a+1), v5(a^2+1))")
+        return SpeedResult(min(int(_v2(a + 1)), _slope(a, 5)), "mod100 in {7,43}: min(v2(a+1), v5(a^2+1))")
     if r100 in (57, 93):
-        return SpeedResult(min(int(_v2(a - 1)), _v5_square_plus_one(a)), "mod100 in {57,93}: min(v2(a-1), v5(a^2+1))")
+        return SpeedResult(min(int(_v2(a - 1)), _slope(a, 5)), "mod100 in {57,93}: min(v2(a-1), v5(a^2+1))")
     if r10 == 4:
         return SpeedResult(int(_v5(a + 1)), "mod10=4: v5(a+1)")
     if r10 == 5:
-        return SpeedResult(_v2(a - 1) + _v2(a + 1) - 1, "mod10=5: v2(a^2-1)-1")
+        return SpeedResult(_slope(a, 2), "mod10=5: v2(a^2-1)-1")
     if r10 == 6:
         return SpeedResult(int(_v5(a - 1)), "mod10=6: v5(a-1)")
     if r100 == 49:
@@ -153,7 +134,7 @@ def speed_mod20(a: int) -> SpeedResult:
     if r10 == 0:
         return SpeedResult(None, "positive multiple of 10: undefined")
     if r10 in (2, 8):
-        return SpeedResult(_v5_square_plus_one(a), "mod10 in {2,8}: v5(a^2+1)")
+        return SpeedResult(_slope(a, 5), "mod10 in {2,8}: v5(a^2+1)")
     if r10 == 4:
         return SpeedResult(int(_v5(a + 1)), "mod10=4: v5(a+1)")
     if r10 == 6:

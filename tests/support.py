@@ -44,6 +44,13 @@ def naive_valuation(d: int, p: int) -> int | float:
     return q
 
 
+def naive_slopes(a: int) -> tuple[int | float | None, int | float | None]:
+    """(w2, w5) = (v2(a^2 - 1) - 1, v5(a^4 - 1)) by naive division of the
+    powers themselves; None at a prime dividing a."""
+    return (naive_valuation(a * a - 1, 2) - 1 if a % 2 else None,
+            naive_valuation(a**4 - 1, 5) if a % 5 else None)
+
+
 def _to_residue(q: Fraction, p: int, n: int) -> int:
     """A p-integral rational modulo p^n."""
     m = p**n
@@ -244,6 +251,29 @@ def crt_fifth_power_root(label: str, n: int) -> int:
     # the lift is multiplicative and 2 generates the units mod 5: 2, 4, 3 = 2^1, 2^2, 2^3
     y5 = 0 if t % 5 == 0 else pow(_lift_of_two(n), {1: 0, 2: 1, 4: 2, 3: 3}[t % 5], m5)
     return y5 + m5 * ((y2 - y5) * pow(m5, -1, m2) % m2)
+
+
+# coprime residue mod 20 -> the tag of the solution of y^5 = y its digits follow
+CLASS_LABEL = {1: "01", 11: "51", 3: "43", 13: "93", 7: "07", 17: "57", 9: "49", 19: "99"}
+
+
+def plant(r20: int, length: int, five: bool) -> int:
+    """The class constant of a coprime residue mod 20 truncated to `length`
+    digits, then a digit at position length + 1 that differs from the
+    constant's by 5 or by 1 (mod 10): the key digit, with |s_l - alpha[l]| = 5
+    or not."""
+    alpha = crt_fifth_power_root(CLASS_LABEL[r20], length + 1)
+    d = alpha // 10**length
+    return alpha % 10**length + (d + (5 if five else 1)) % 10 * 10**length
+
+
+def planted_base(r20: int, speed: int, five: bool) -> int:
+    """A planted base of class r20 whose least slope, its speed, is `speed`."""
+    for length in range(speed - 6, speed + 7):
+        a = plant(r20, length, five)
+        if min(naive_slopes(a)) == speed:
+            return a
+    raise AssertionError(f"no planted base of speed {speed} for residue {r20}")
 
 
 @lru_cache(maxsize=64)

@@ -366,6 +366,20 @@ def test_ratio_runs_without_mpmath():
     assert json.loads(out[1])["result"]["denominator"] == 515003176870815368
 
 
+def test_the_oracle_runs_without_the_closed_forms():
+    # its slopes come from arith, so a measured run never loads speed
+    code = (
+        "import sys, tetrastable\n"
+        "tetrastable.speed_bound(7)\n"
+        "from tetrastable.oracle import certified_sequence, speed_sequence\n"
+        "speed_sequence(7, 5); certified_sequence(7)\n"
+        "from tetrastable.cli import main\n"
+        "main(['sequence', '7', '--json'])\n"
+        "print('tetrastable.speed' in sys.modules)"
+    )
+    assert _python(code).splitlines()[-1] == "False"
+
+
 def test_verify_starts_no_pool_for_one_chunk():
     code = (
         "import sys; from tetrastable.cli import main\n"

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tetrastable import arith, oracle
-from tetrastable.arith import TowerNotRepresentable, _exp_terms, digit, tower_value_capped
+from tetrastable.arith import TowerNotRepresentable, _exp_terms, tower_value_capped
 from tetrastable.decadic import alpha_value
 from tetrastable.oracle import (
     NeedsLargerBudget,
@@ -26,6 +26,7 @@ from support import (
     lambda_tower_mod,
     naive_valuation,
     pow_walk,
+    planted_base,
     pow_walk_counts,
     trailing_match,
 )
@@ -299,24 +300,6 @@ class TestExpWalk:
         assert counts[:prefix] == pow_walk_counts(a, prefix, ndigits)
 
 
-def plant(r20: int, length: int, five: bool) -> int:
-    """The class constant of a mod-20 residue truncated to `length` digits, then
-    a digit at position length + 1 that differs from the constant's by 5 or by
-    1 (mod 10): the key digit, with |s_l - alpha[l]| = 5 or not."""
-    tag = TAG_BY_MOD20[r20]
-    alpha = alpha_value(tag, length + 1)
-    d = digit(alpha, length + 1)
-    return alpha % 10**length + (d + (5 if five else 1)) % 10 * 10**length
-
-
-def planted_base(r20: int, speed: int, five: bool) -> int:
-    for length in range(speed - 6, speed + 7):
-        a = plant(r20, length, five)
-        if speed_exact(a).speed == speed:
-            return a
-    raise AssertionError(f"no planted base of speed {speed} for residue {r20}")
-
-
 class TestPlantedHighSpeed:
     """Bases agreeing with their class constant in 30-40 digits: the oracle
     certifies a high speed, and both closed forms must name it."""
@@ -329,7 +312,7 @@ class TestPlantedHighSpeed:
         condition, rule = speed_exact(a).rule.split(": ")
         assert condition.endswith("|=5") == five
         assert rule.startswith("v2" if five else "v5")
-        assert certified_sequence(a).speed == speed_mod20(a).speed == speed
+        assert certified_sequence(a).speed == speed_mod20(a).speed == speed_exact(a).speed == speed
 
 
 class TestWalkValuations:
@@ -410,6 +393,12 @@ class TestStartingPrecision:
         # at height 2, 2, 2, 3, 2; and w2 = 42, 40 on multiples of 5
         self.check(passes_run(monkeypatch), a, range(1, 9))
 
+    @pytest.mark.parametrize("a", [10**90 + 1, 3 * 2**300 * 5**70 + 1, 3 * 2**70 * 5**300 + 1])
+    def test_slopes_past_64_digits(self, monkeypatch, a):
+        # (w2, w5) = (90, 90), (300, 70), (70, 300): each is read at the
+        # budget, so neither reads as infinite and lifts the floor
+        self.check(passes_run(monkeypatch), a, range(1, 5))
+
     @pytest.mark.parametrize("r20", [3, 11])
     def test_planted_high_speed_bases(self, monkeypatch, r20):
         # the top heights of a speed-30 base cost pow() about 20 s each
@@ -428,8 +417,8 @@ class TestStartingPrecision:
 
 
 class TestBudget:
-    """The start is clamped to the budget, so the same inputs raise as when
-    the oracle doubled from 64."""
+    """A floor at or above the last ladder value within budget raises before
+    any pass, so the same inputs raise as when the oracle doubled from 64."""
 
     def test_a_budget_below_the_floor_raises(self, monkeypatch):
         # 10^90 + 1 at height 93: the floor is 93 * 90 digits at both primes
@@ -438,7 +427,15 @@ class TestBudget:
         with pytest.raises(NeedsLargerBudget) as exc:
             speed_sequence(a, 93)
         assert str(exc.value) == f"stable digits of the height-93 tower of {a} exceed the 8192-digit budget"
-        assert precisions == [8192]
+        assert precisions == []
+
+    def test_a_certified_run_past_the_budget_names_its_height(self, monkeypatch):
+        # w5 = 70 > 64 digits: the run to height w5 + 3 = 73 raises before any pass
+        a = 4 * 5**70 + 1
+        precisions = passes_run(monkeypatch)
+        with pytest.raises(NeedsLargerBudget, match=f"height-73 tower of {a} exceed the 64-digit budget"):
+            certified_sequence(a, budget=64)
+        assert precisions == []
 
     @pytest.mark.parametrize("budget", [63, 64, 100, 127])
     def test_budgets_between_ladder_values(self, budget):

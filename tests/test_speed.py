@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tetrastable.arith import _slope
 from tetrastable.decadic import alpha_value
 from tetrastable.oracle import certified_sequence
 from tetrastable.speed import (
@@ -20,7 +22,7 @@ from tetrastable.speed import (
     tier_of,
 )
 
-from support import naive_valuation
+from support import naive_slopes, naive_valuation, planted_base
 
 valid_bases = st.integers(2, 10**6).filter(lambda a: a % 10 != 0)
 
@@ -176,3 +178,49 @@ class TestNoSquaredBase:
         a = root + 3 * 10**999999  # a == root (mod 5^999999)
         want = naive_valuation(root * root + 1, 5)
         assert want >= 70 and speed_bound(a) == speed_mod20(a).speed == want
+
+
+def capped(want: tuple, cap) -> tuple:
+    return tuple(w if w is None or w <= cap else math.inf for w in want)
+
+
+def slopes(a: int, cap=math.inf) -> tuple:
+    return _slope(a, 2, cap), _slope(a, 5, cap)
+
+
+class TestSlopes:
+    """speed_bound is the slope w5 = v5(a^4 - 1), or w2 = v2(a^2 - 1) - 1 when
+    5 divides a, and V(a) is the least slope at a prime not dividing a: both
+    against the slopes by naive division of the powers."""
+
+    def test_bound_and_mod20_are_the_naive_slopes(self):
+        rng = random.Random(16)
+        bases = [a for a in range(2, 20001) if a % 10]
+        bases += [a for a in (rng.randrange(10**49, 10**50) for _ in range(3400)) if a % 10][:3000]
+        bases += [planted_base(r20, v, five) for r20 in TAG_BY_MOD20 for v in (30, 60) for five in (True, False)]
+        assert len(bases) == 17999 + 3000 + 32
+        for a in bases:
+            w2, w5 = naive_slopes(a)
+            assert speed_bound(a) == (w5 if a % 5 else w2), a
+            assert speed_mod20(a).speed == min(w for w in (w2, w5) if w is not None), a
+
+    def test_a_capped_read_is_infinite_exactly_above_the_cap(self):
+        bases = long_bases() + [planted_base(r20, 60, five) for r20 in TAG_BY_MOD20 for five in (True, False)]
+        for a in bases:
+            want = naive_slopes(a)
+            assert slopes(a) == want, a
+            near = {w + d for w in want if w is not None for d in (-1, 0, 1)}
+            for cap in {2, 3, 31, 32, 33, 64, 100} | near:
+                assert slopes(a, cap) == capped(want, cap), (a, cap)
+
+    def test_a_hundred_thousand_digits(self):
+        # 1 modulo 2^90 and a 5-adic square root of -1 modulo 5^80, past the k = 32, 64 reads
+        m2, m5 = 2**90, 5**80
+        root = pow(2, 5**79, m5)
+        a = root + m5 * ((1 - root) * pow(m5, -1, m2) % m2) + 3 * 10**99999
+        want = naive_slopes(a)
+        assert want[0] >= 90 and want[1] >= 80
+        assert slopes(a) == want
+        assert speed_bound(a) == want[1] and speed_mod20(a).speed == min(want)
+        for cap in (32, 64, want[1] - 1, want[1], want[0] - 1, want[0]):
+            assert slopes(a, cap) == capped(want, cap), cap
