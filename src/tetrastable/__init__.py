@@ -19,7 +19,7 @@ _HOME = {
     for module, names in {
         "arith": (
             "INFINITY", "InvariantError", "TowerNotRepresentable", "DEFAULT_BUDGET", "NeedsLargerBudget",
-            "padic_valuation", "tetration_mod", "tetration_mod_pow10", "tower_value_capped", "digit",
+            "padic_valuation", "tetration_mod_pow10", "tower_value_capped", "digit",
             "speed_bound",
         ),
         "decadic": (

@@ -81,9 +81,7 @@ class NeedsLargerBudget(RuntimeError):
     """Raised when the requested count cannot be certified within the digit budget."""
 
     def __init__(self, a: int, b: int, budget: int):
-        super().__init__(
-            f"stable digits of the height-{b} tower of {a} exceed the {budget}-digit budget"
-        )
+        super().__init__(f"stable digits of {_tower_of(a, b)} exceed the {budget}-digit budget")
         self.a = a
         self.b = b
         self.budget = budget
@@ -173,6 +171,12 @@ def _no_str_digits_limit():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _tower_of(a: int, b: int) -> str:
+    """'the height-b tower of a' for an error message, whatever the length of a."""
+    with _no_str_digits_limit():
+        return f"the height-{b} tower of {a}"
 
 
 def digit(a: int, j: int) -> int:
@@ -438,13 +442,3 @@ def tetration_mod_pow10(a: int, b: int, ndigits: int, memo: dict | None = None) 
     if memo is not None:
         memo[(a, n)] = j, x2, x5, walk
     return _crt(x2, x5, ndigits)
-
-
-def tetration_mod(a: int, b: int, modulus: int) -> int:
-    """Height-b tower of a modulo 10^N; modulus must be a power of ten."""
-    if modulus < 10:
-        raise ValueError("modulus must be a positive power of 10")
-    n = decimal_length(modulus) - 1
-    if 10**n != modulus:
-        raise ValueError("modulus must be a power of 10")
-    return tetration_mod_pow10(a, b, n)

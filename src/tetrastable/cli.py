@@ -64,19 +64,18 @@ def _report(command: str, inputs: dict, result: dict, status: str = "ok") -> dic
 
 
 def _emit(report: dict, args, lines: list[str]) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
         for line in lines:
             print(line)
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         try:
-            with open(out, "w") as fh:
+            with open(args.out, "w") as fh:
                 json.dump(report, fh, sort_keys=True, indent=2)
                 fh.write("\n")
         except OSError as exc:
-            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
 def cmd_speed(args) -> int:
@@ -99,7 +98,7 @@ def cmd_speed(args) -> int:
         "agreement": agreement,
     }
     report = _report("speed", {"a": str(a)}, result)
-    shown = "undefined" if exact.is_undefined else str(exact.speed)
+    shown = "undefined" if exact.speed is None else str(exact.speed)
     lines = [
         f"V({a}) = {shown}",
         f"rule: {exact.rule}",
@@ -256,7 +255,7 @@ def _verify_chunk(chunk: tuple[int, int, int, int]) -> tuple[int, int, list[dict
 
 def cmd_verify(args) -> int:
     lo, hi = args.range
-    chunk_size = max(64, (hi - lo + 1) // (8 * max(args.workers, 1)) + 1)
+    chunk_size = max(64, (hi - lo + 1) // (8 * args.workers) + 1)
     chunks = [(start, min(start + chunk_size - 1, hi), args.max_b, args.budget)
               for start in range(lo, hi + 1, chunk_size)]
     workers = min(args.workers, len(chunks))

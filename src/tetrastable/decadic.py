@@ -98,7 +98,7 @@ class AlphaDigits(namedtuple("AlphaDigits", "tag n digits")):
             return int(self.digits)
 
 
-KeyDigitReport = namedtuple("KeyDigitReport", "l s_l diff matched_prefix_len")
+KeyDigitReport = namedtuple("KeyDigitReport", "l s_l diff")
 KeyDigitReport.__doc__ = "First position where a base departs from its associated constant."
 
 
@@ -167,7 +167,7 @@ def key_digit(a: int, tag: AlphaTag) -> KeyDigitReport:
         if diff:
             l = int(_v10(diff)) + 1
             s_l = digit(a, l)
-            return KeyDigitReport(l=l, s_l=s_l, diff=s_l - digit(alpha, l), matched_prefix_len=l - 1)
+            return KeyDigitReport(l=l, s_l=s_l, diff=s_l - digit(alpha, l))
         if depth == limit:
             raise InvariantError(f"no key digit found for {a} against {tag}")
         depth *= 2

@@ -21,6 +21,7 @@ from .arith import (
     NeedsLargerBudget,
     TowerNotRepresentable,
     _slope,
+    _tower_of,
     _tower_walk,
     _v10,
     decimal_length,
@@ -49,7 +50,7 @@ def _trailing_zero_count(a: int, b: int) -> int:
     # multiples of 10: stable digits = trailing zeros of the height-b tower
     e = tower_value_capped(a, b - 1, _MACHINE_RANGE)
     if e is None:
-        raise TowerNotRepresentable(f"the height-{b} tower of {a} has too many digits to count")
+        raise TowerNotRepresentable(f"{_tower_of(a, b)} has too many digits to count")
     return e * int(_v10(a))
 
 
@@ -203,15 +204,3 @@ def measured_speed(a: int, budget: int = DEFAULT_BUDGET) -> int:
     if a % 10 == 0:
         raise ValueError("undefined for positive multiples of 10")
     return certified_sequence(a, budget).speed
-
-
-__all__ = [
-    "DEFAULT_BUDGET",
-    "NeedsLargerBudget",
-    "SpeedSequence",
-    "stable_digit_count",
-    "speed_sequence",
-    "certified_sequence",
-    "measure_stabilization",
-    "measured_speed",
-]

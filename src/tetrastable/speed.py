@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .arith import _slope, _v2, _v5, speed_bound
+from .arith import _slope, _v2, _v5, speed_bound  # speed_bound: bench/ and tests/ import it from here
 from .decadic import AlphaTag, key_digit
 
 # mod-20 residue of the base -> the constant its digits are compared against
@@ -50,14 +50,8 @@ _COPRIME_RULES = {
 }
 
 
-class SpeedResult(namedtuple("SpeedResult", "speed rule")):
-    """V(a) plus the rule that produced it; speed is None when undefined."""
-
-    __slots__ = ()
-
-    @property
-    def is_undefined(self) -> bool:
-        return self.speed is None
+SpeedResult = namedtuple("SpeedResult", "speed rule")
+SpeedResult.__doc__ = "V(a) plus the rule that produced it; speed is None when undefined."
 
 
 class Tier(Enum):
@@ -195,18 +189,3 @@ def classify_tier(a: int) -> Tier:
     if r40 in (15, 25) or a % 1000 in Q_COMPLEMENT:
         return Tier.V3_PLUS
     return Tier.V2
-
-
-__all__ = [
-    "SpeedResult",
-    "Tier",
-    "TAG_BY_MOD20",
-    "C_COMPLEMENT",
-    "Q_COMPLEMENT",
-    "tier_of",
-    "speed_bound",
-    "speed_mod100",
-    "speed_mod20",
-    "speed_exact",
-    "classify_tier",
-]

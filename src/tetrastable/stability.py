@@ -12,9 +12,12 @@ from decimal import Context, Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .arith import DEFAULT_BUDGET, InvariantError, TowerNotRepresentable, decimal_length, tower_value_capped
+from .arith import (
+    DEFAULT_BUDGET, InvariantError, TowerNotRepresentable, _tower_of, decimal_length, speed_bound,
+    tower_value_capped,
+)
 from .oracle import certified_sequence, stable_digit_count
-from .speed import speed_bound, speed_exact
+from .speed import speed_exact
 
 
 class FormulaRangeError(ValueError):
@@ -186,7 +189,7 @@ def stable_ratio(a: int, b: int, budget: int = DEFAULT_BUDGET) -> Fraction:
         return Fraction(1, 1)
     e = tower_value_capped(a, b - 1, 10**18)
     if e is None:
-        raise TowerNotRepresentable(f"the height-{b} tower of {a} has too many digits to count")
+        raise TowerNotRepresentable(f"{_tower_of(a, b)} has too many digits to count")
     count = stable_count(a, b, budget)
     numerator = count.value if count.kind == "exact" else stable_digit_count(a, b, budget)
     return Fraction(numerator, _certified_digit_count(a, e))
@@ -226,19 +229,3 @@ def stabilization_bound(a: int) -> int:
     if r20 in (3, 7) or r20 in (2, 18) or a % 10 == 6:
         return speed_bound(a) + 2
     return speed_bound(a) + 1
-
-
-__all__ = [
-    "FormulaRangeError",
-    "TowerNotRepresentable",
-    "StableCount",
-    "StableShape",
-    "HeightPlan",
-    "stable_exact",
-    "stable_bounds",
-    "stable_shape",
-    "stable_count",
-    "stable_ratio",
-    "min_height",
-    "stabilization_bound",
-]

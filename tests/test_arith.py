@@ -19,7 +19,6 @@ from tetrastable.arith import (
     decimal_length,
     digit,
     padic_valuation,
-    tetration_mod,
     tetration_mod_pow10,
     tower_value_capped,
 )
@@ -192,39 +191,38 @@ class TestPadicExpLog:
 
 class TestTetrationMod:
     def test_reference_values(self):
-        assert tetration_mod(2, 4, 10**5) == 65536
-        assert tetration_mod(2, 5, 10**8) == 19156736
+        assert tetration_mod_pow10(2, 4, 5) == 65536
+        assert tetration_mod_pow10(2, 5, 8) == 19156736
 
     @given(a=st.integers(0, 10**9), n=st.integers(1, 30))
     def test_height_one_is_the_base(self, a, n):
-        assert tetration_mod(a, 1, 10**n) == a % 10**n
+        assert tetration_mod_pow10(a, 1, n) == a % 10**n
 
     def test_rejects_height_zero(self):
         with pytest.raises(ValueError):
-            tetration_mod(2, 0, 10**5)
+            tetration_mod_pow10(2, 0, 5)
+
+    def test_rejects_zero_digits(self):
+        with pytest.raises(ValueError):
+            tetration_mod_pow10(2, 3, 0)
 
     def test_modulus_past_the_str_digits_limit(self):
         want = pow(3, 3**27, 10**5000)
-        assert tetration_mod(3, 4, 10**5000) == want == tetration_mod_pow10(3, 4, 5000)
-
-    @pytest.mark.parametrize("modulus", [0, 1, 7, 50, 10**6 + 1])
-    def test_rejects_non_power_of_ten_modulus(self, modulus):
-        with pytest.raises(ValueError):
-            tetration_mod(2, 3, modulus)
+        assert tetration_mod_pow10(3, 4, 5000) == want
 
     @pytest.mark.parametrize("a", [0, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("b", [1, 2, 3])
     def test_small_towers_match_exact_integers(self, a, b):
         want = exact_tower(a, b)
         for n in (1, 5, 17, 64):
-            assert tetration_mod(a, b, 10**n) == want % 10**n
+            assert tetration_mod_pow10(a, b, n) == want % 10**n
 
     def test_zero_base_follows_the_limit_convention(self):
         # height-b tower of 0 is 1 for even b, 0 for odd b
-        assert tetration_mod(0, 1, 10**3) == 0
-        assert tetration_mod(0, 2, 10**3) == 1
-        assert tetration_mod(0, 5, 10**3) == 0
-        assert tetration_mod(0, 6, 10**3) == 1
+        assert tetration_mod_pow10(0, 1, 3) == 0
+        assert tetration_mod_pow10(0, 2, 3) == 1
+        assert tetration_mod_pow10(0, 5, 3) == 0
+        assert tetration_mod_pow10(0, 6, 3) == 1
 
     @given(a=st.integers(0, 100), b=st.integers(1, 6), n=st.integers(2, 64), m=st.integers(1, 64))
     @example(a=2, b=5, n=64, m=8)

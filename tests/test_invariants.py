@@ -39,7 +39,7 @@ LAYERS = [importlib.import_module(f"tetrastable.{name}") for name in ("arith", "
 
 
 def test_every_public_name_is_the_object_its_modules_bind():
-    assert len(tetrastable.__all__) == 45
+    assert len(tetrastable.__all__) == 44
     for name in tetrastable.__all__:
         if name == "__version__":
             continue
@@ -74,9 +74,9 @@ RESULT_TYPES = [
     ),
     (
         "KeyDigitReport",
-        ("l", "s_l", "diff", "matched_prefix_len"),
+        ("l", "s_l", "diff"),
         lambda: tetrastable.key_digit(7, tetrastable.AlphaTag(0, 7)),
-        "KeyDigitReport(l=3, s_l=0, diff=-8, matched_prefix_len=2)",
+        "KeyDigitReport(l=3, s_l=0, diff=-8)",
     ),
     (
         "SpeedResult",

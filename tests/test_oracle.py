@@ -66,6 +66,14 @@ class TestStableDigitCount:
         with pytest.raises(TowerNotRepresentable, match="height-5 tower of 10 "):
             stable_digit_count(10, 5)
 
+    def test_a_base_past_the_str_digits_limit_is_named(self):
+        # 5,001 digits: the message formats the base past CPython's int -> str limit
+        a = 10**5000
+        with pytest.raises(TowerNotRepresentable) as exc:
+            stable_digit_count(a, 3)
+        with arith._no_str_digits_limit():
+            assert str(exc.value) == f"the height-3 tower of {a} has too many digits to count"
+
     def test_budget_exhaustion_is_loud(self):
         with pytest.raises(NeedsLargerBudget):
             stable_digit_count(163574218751, 8, budget=64)
@@ -435,6 +443,16 @@ class TestBudget:
         precisions = passes_run(monkeypatch)
         with pytest.raises(NeedsLargerBudget, match=f"height-73 tower of {a} exceed the 64-digit budget"):
             certified_sequence(a, budget=64)
+        assert precisions == []
+
+    def test_a_base_past_the_str_digits_limit_is_named(self, monkeypatch):
+        # 6,292 digits and w5 = 9,000 past the default budget: the run to height 9,003 raises
+        a = 4 * 5**9000 + 1
+        precisions = passes_run(monkeypatch)
+        with pytest.raises(NeedsLargerBudget) as exc:
+            certified_sequence(a)
+        with arith._no_str_digits_limit():
+            assert str(exc.value) == f"stable digits of the height-9003 tower of {a} exceed the 8192-digit budget"
         assert precisions == []
 
     @pytest.mark.parametrize("budget", [63, 64, 100, 127])

@@ -49,7 +49,7 @@ class TestClosedFormMaps:
         assert speed_mod100(1).speed == 0
         assert speed_mod100(2).speed == 1
         assert speed_mod100(0).speed == 0
-        assert speed_mod100(30).is_undefined
+        assert speed_mod100(30).speed is None
 
     def test_mod20_reference_values(self):
         assert speed_mod20(15).speed == 4
@@ -60,7 +60,7 @@ class TestClosedFormMaps:
         assert speed_exact(163574218751).speed == 13
         assert speed_exact(6907922943).speed == 9
         assert speed_exact(0).speed == 0
-        assert speed_exact(30).is_undefined
+        assert speed_exact(30).speed is None
         assert speed_exact(501).speed == 2
         assert speed_exact(51).speed == 2
         assert speed_exact(25).speed == 3
@@ -83,7 +83,7 @@ class TestClosedFormMaps:
 
     @given(a=st.integers(0, 10**6))
     def test_undefined_exactly_on_positive_multiples_of_ten(self, a):
-        assert speed_exact(a).is_undefined == (a % 10 == 0 and a != 0)
+        assert (speed_exact(a).speed is None) == (a % 10 == 0 and a != 0)
 
     @given(a=st.integers(0, 10**6))
     def test_zero_speed_only_for_zero_and_one(self, a):

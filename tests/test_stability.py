@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tetrastable.arith import decimal_length
+from tetrastable.arith import _no_str_digits_limit, decimal_length
 from tetrastable.oracle import certified_sequence, stable_digit_count
 from tetrastable.speed import speed_exact
 from tetrastable.stability import (
@@ -188,6 +188,13 @@ class TestStableRatio:
     def test_not_representable(self):
         with pytest.raises(TowerNotRepresentable):
             stable_ratio(3, 5)
+
+    def test_a_base_past_the_str_digits_limit_is_named(self):
+        a = 3 * 10**5000 + 7
+        with pytest.raises(TowerNotRepresentable) as exc:
+            stable_ratio(a, 3)
+        with _no_str_digits_limit():
+            assert str(exc.value) == f"the height-3 tower of {a} has too many digits to count"
 
     def test_rejects_multiples_of_ten(self):
         with pytest.raises(ValueError):
