@@ -210,10 +210,7 @@ def _verify_base(a: int, max_b: int, budget: int) -> tuple[int, list[dict]]:
     exact = speed.speed_exact(a).speed
     by100 = speed.speed_mod100(a).speed
     by20 = speed.speed_mod20(a).speed
-    if a == 1:
-        seq = oracle.speed_sequence(a, max(2, max_b), budget)
-    else:
-        seq = oracle.speed_sequence(a, max(speed.speed_bound(a) + 3, max_b), budget)
+    seq = oracle.speed_sequence(a, max(oracle._certified_height(a) + 1, max_b), budget)
     measured = seq.speed
     check("speed: exact vs oracle", exact == measured, measured, exact)
     check("speed: mod-100 map vs oracle", by100 == measured, measured, by100)

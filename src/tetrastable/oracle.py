@@ -144,9 +144,7 @@ def speed_sequence(a: int, max_b: int, budget: int = DEFAULT_BUDGET) -> SpeedSeq
     """Measure V(a,b) for b = 1..max_b.
 
     Every entry is a measured count difference.  stabilized_at is reported
-    only when the run reaches the stabilization bound, from which the paper
-    proves the speed constant: height speed_bound(a) + 2 for a >= 2, the
-    walk's slope at 5, or at 2 when 5 divides a; 1 and 2 for a = 0 and 1.
+    only when the run reaches _certified_height(a).
     """
     if a < 0 or max_b < 1:
         raise ValueError("need a >= 0 and max_b >= 1")
@@ -155,32 +153,39 @@ def speed_sequence(a: int, max_b: int, budget: int = DEFAULT_BUDGET) -> SpeedSeq
     if any(v < 0 for v in entries):
         raise InvariantError(f"stable digit count decreased for a={a}: {counts}")
     stabilized = None
-    if a == 0 or a % 10 != 0:
-        certify_from = 1 if a == 0 else (2 if a == 1 else speed_bound(a) + 2)
-        if max_b >= certify_from:
-            i = max_b
-            while i > 1 and entries[i - 2] == entries[max_b - 1]:
-                i -= 1
-            stabilized = i
+    if (a == 0 or a % 10 != 0) and max_b >= _certified_height(a):
+        i = max_b
+        while i > 1 and entries[i - 2] == entries[max_b - 1]:
+            i -= 1
+        stabilized = i
     return SpeedSequence(a=a, entries=entries, frozen_prefix=counts, stabilized_at=stabilized)
+
+
+def _certified_height(a: int) -> int:
+    """The height from which the paper proves V(a, b) constant: 1 and 2 for
+    a = 0 and 1, else speed_bound(a) + 2, with speed_bound(a) the walk's
+    slope at 5, or at 2 when 5 divides a."""
+    return 1 if a == 0 else (2 if a == 1 else speed_bound(a) + 2)
 
 
 @lru_cache(maxsize=512)
 def _certified_run(a: int, budget: int) -> tuple[tuple[int, ...], int]:
-    seq = speed_sequence(a, speed_bound(a) + 3, budget)
+    height = _certified_height(a) + 1
+    seq = speed_sequence(a, height, budget)
     if seq.stabilized_at is None:
-        raise InvariantError(f"stabilization of {a} not certified by height {speed_bound(a) + 3}")
+        raise InvariantError(f"stabilization of {a} not certified by height {height}")
     return tuple(seq.frozen_prefix), seq.stabilized_at
 
 
 def certified_sequence(a: int, budget: int = DEFAULT_BUDGET) -> SpeedSequence:
-    """speed_sequence run just far enough to certify stabilization (cached).
+    """speed_sequence run one height past _certified_height(a) (cached), for
+    every base whose speed is defined.
 
     stabilized_at and speed are never None: an uncertified run raises
     InvariantError.
     """
-    if a < 2 or a % 10 == 0:
-        raise ValueError("defined for a >= 2 not a multiple of 10")
+    if a < 0 or (a % 10 == 0 and a != 0):
+        raise ValueError("defined for a >= 0 not a positive multiple of 10")
     counts, stabilized = _certified_run(a, budget)
     entries = [counts[0]] + [counts[i] - counts[i - 1] for i in range(1, len(counts))]
     return SpeedSequence(a=a, entries=entries, frozen_prefix=list(counts), stabilized_at=stabilized)
@@ -188,19 +193,12 @@ def certified_sequence(a: int, budget: int = DEFAULT_BUDGET) -> SpeedSequence:
 
 def measure_stabilization(a: int, budget: int = DEFAULT_BUDGET) -> int:
     """The least height from which the congruence speed stays constant."""
-    if a < 1 or (a % 10 == 0 and a != 0):
+    if a < 1 or a % 10 == 0:
         raise ValueError("defined for a >= 1 not a multiple of 10")
-    if a == 1:
-        return 2
     return certified_sequence(a, budget).stabilized_at
 
 
 def measured_speed(a: int, budget: int = DEFAULT_BUDGET) -> int:
     """V(a) as measured by the tower oracle: a measured count difference,
-    certified constant from the stabilization bound w + 2, with w the walk's
-    slope (see speed_sequence)."""
-    if a in (0, 1):
-        return 0
-    if a % 10 == 0:
-        raise ValueError("undefined for positive multiples of 10")
+    certified constant from _certified_height(a)."""
     return certified_sequence(a, budget).speed

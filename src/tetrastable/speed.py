@@ -1,9 +1,10 @@
 """Closed forms for the constant congruence speed V(a).
 
-Three independent maps are kept side by side on purpose: the mod-100 case
-split, its mod-20 refinement, and the exact key-digit map.  All three must
-agree everywhere; the verification harness scans them against the modular
-tower oracle.
+Three maps form a chain, exact -> mod 20 -> mod 100: each refines the next
+on some classes and hands it every other base.  speed_mod100 is the paper's
+case split on a mod 100 / mod 10; speed_mod20 refines its odd classes; and
+speed_exact refines the coprime classes by the key-digit map.  The
+verification harness scans all three against the modular tower oracle.
 
 The valuations the rules name are the slopes of the tower walk
 (arith._slope), w2 = v2(a^2 - 1) - 1 and w5 = v5(a^4 - 1), by lifting the
@@ -119,20 +120,10 @@ def speed_mod100(a: int) -> SpeedResult:
 
 
 def speed_mod20(a: int) -> SpeedResult:
-    """V(a) from the refined case split on a mod 20 / mod 10."""
-    if a < 0:
-        raise ValueError("base must be nonnegative")
-    if a in (0, 1):
-        return SpeedResult(0, "a in {0,1}: 0")
-    r10 = a % 10
-    if r10 == 0:
-        return SpeedResult(None, "positive multiple of 10: undefined")
-    if r10 in (2, 8):
-        return SpeedResult(_slope(a, 5), "mod10 in {2,8}: v5(a^2+1)")
-    if r10 == 4:
-        return SpeedResult(int(_v5(a + 1)), "mod10=4: v5(a+1)")
-    if r10 == 6:
-        return SpeedResult(int(_v5(a - 1)), "mod10=6: v5(a-1)")
+    """V(a) from the case split on a mod 20 for odd a >= 3; speed_mod100's
+    rows, which this split does not refine, for the other bases."""
+    if a < 2 or a % 2 == 0:
+        return speed_mod100(a)
     r20 = a % 20
     if r20 == 5:
         return SpeedResult(int(_v2(a - 1)), "mod20=5: v2(a-1)")
@@ -147,7 +138,8 @@ def speed_mod20(a: int) -> SpeedResult:
 def speed_exact(a: int) -> SpeedResult:
     """V(a) from the exact key-digit map; total on the nonnegative integers.
 
-    Off the coprime classes it is the mod-20 split, which is exact there.
+    Off the coprime classes it hands the base to speed_mod20, whose rows are
+    exact there.
     """
     if a < 2 or a % 2 == 0 or a % 5 == 0:
         return speed_mod20(a)

@@ -180,7 +180,9 @@ def _certified_digit_count(a: int, e: int) -> int:
 
 
 def stable_ratio(a: int, b: int, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Fraction of the height-b tower's digits that are stable."""
+    """Fraction of the height-b tower's digits that are stable: the oracle's
+    measured count over the tower's certified digit count.  The tower has at
+    most 10^18 digits, so b <= 5 for every a >= 2."""
     if a < 1 or a % 10 == 0:
         raise ValueError("defined for a >= 1 not a multiple of 10")
     if b < 1:
@@ -190,9 +192,7 @@ def stable_ratio(a: int, b: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     e = tower_value_capped(a, b - 1, 10**18)
     if e is None:
         raise TowerNotRepresentable(f"{_tower_of(a, b)} has too many digits to count")
-    count = stable_count(a, b, budget)
-    numerator = count.value if count.kind == "exact" else stable_digit_count(a, b, budget)
-    return Fraction(numerator, _certified_digit_count(a, e))
+    return Fraction(stable_digit_count(a, b, budget), _certified_digit_count(a, e))
 
 
 def min_height(a: int, target: int, budget: int = DEFAULT_BUDGET) -> HeightPlan:

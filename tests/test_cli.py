@@ -307,6 +307,8 @@ GOLDEN_REPORTS = [
     (("alpha", "57", "1000"), "b0f3802c808d9d2ad5dcb073bbb9bca48e9943ae708469c80c323b6571f395e6"),
     (("speed", "45215487480163574218751"), "94a724dc345c2dd954599a56820d09aeaacccb758939f8898f72bcd46c37493f"),
     (("verify", "--range", "2..2000"), "0721e6269d7815c167af887a4ff66837271a84c54fead8f7467bf813c6a1f213"),
+    (("verify", "--range", "1..30"), "aad6a256f6a926382e7e523ab9578861a2079dfe63ae95ad3d421295d02d8df0"),
+    (("verify", "--range", "1..3", "--max-b", "1"), "17d3dd6adb1d77c1c403cae4d7be1490f8ac20830c1b1a03a3faae2f83c42965"),
 ]
 
 

@@ -23,6 +23,17 @@ def test_source_has_no_assert_statements():
     assert found == []
 
 
+def test_each_speed_rule_text_is_written_once():
+    # a map that would restate another map's row hands the base to it instead
+    rules = []
+    for node in ast.walk(ast.parse((SRC / "speed.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SpeedResult":
+            args = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "rule")]
+            rules += [arg.value for arg in args if isinstance(arg, ast.Constant)]
+    assert rules
+    assert sorted(r for r in set(rules) if rules.count(r) > 1) == []
+
+
 def test_cli_reports_a_violated_invariant_and_exits_one(capsys, monkeypatch):
     def broken(a):
         raise InvariantError(f"closed form broke at a={a}")

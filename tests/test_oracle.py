@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -137,6 +138,25 @@ class TestStabilization:
         assert len(set(tail)) == 1
         if bbar > 1:
             assert seq.entries[bbar - 2] != tail[0]
+
+    def test_the_base_cases_are_read_off_runs(self):
+        zero, one = certified_sequence(0), certified_sequence(1)
+        assert (zero.stabilized_at, zero.speed) == (1, 0)
+        assert (one.stabilized_at, one.speed) == (2, 0)
+
+    @pytest.mark.parametrize("call, a", [(measure_stabilization, 0), (certified_sequence, -1), (certified_sequence, 30)])
+    def test_rejects_bases_without_a_speed(self, call, a):
+        with pytest.raises(ValueError):
+            call(a)
+
+    def test_certified_runs_are_pinned(self):
+        h = hashlib.sha256()
+        for a in range(1, 2001):
+            if a % 10:
+                row = (certified_sequence(a) if a > 1 else None, measure_stabilization(a), measured_speed(a))
+                h.update(repr(row).encode())
+        h.update(repr(measured_speed(0)).encode())
+        assert h.hexdigest()[:16] == "bc5fdb105fb40dce"
 
     def test_measured_speed_conventions(self):
         assert measured_speed(0) == 0

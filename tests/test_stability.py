@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tetrastable.arith import _no_str_digits_limit, decimal_length
+from tetrastable.arith import NeedsLargerBudget, _no_str_digits_limit, decimal_length
 from tetrastable.oracle import certified_sequence, stable_digit_count
 from tetrastable.speed import speed_exact
 from tetrastable.stability import (
@@ -184,6 +184,15 @@ class TestStableRatio:
     def test_huge_or_coprime_numerators(self):
         got = stable_ratio(163574218751, 2)
         assert got.numerator == 31
+
+    def test_the_budget_bounds_only_the_count_it_reads(self):
+        # the height-2 count, not a certified run to height speed_bound + 3 = 14
+        assert stable_ratio(6907922943, 2, budget=64) == Fraction(11, 67969454232)
+        # a measured count of 66 digits needs more than 64, closed form or not
+        a = 5**22 + 1
+        assert stable_ratio(a, 2) == Fraction(22, 12220811919683155)
+        with pytest.raises(NeedsLargerBudget):
+            stable_ratio(a, 2, budget=64)
 
     def test_not_representable(self):
         with pytest.raises(TowerNotRepresentable):
