@@ -180,9 +180,9 @@ def _tower_of(a: int, b: int) -> str:
 
 
 def digit(a: int, j: int) -> int:
-    """j-th rightmost decimal digit of a (j >= 1); 0 past the most significant."""
-    if j < 1:
-        raise ValueError("digit index starts at 1")
+    """j-th rightmost decimal digit of a >= 0 (j >= 1); 0 past the most significant."""
+    if a < 0 or j < 1:
+        raise ValueError("need a >= 0 and a digit index j >= 1")
     return (a // 10 ** (j - 1)) % 10
 
 

@@ -1,8 +1,10 @@
 """Command-line front end and bulk verification harness.
 
-Every subcommand prints a human-readable summary by default and a
-deterministic JSON report with --json (stable key order, bases echoed as
-strings so arbitrary-precision inputs survive the round trip).
+Every subcommand returns its inputs, its result and its text lines; main
+alone builds the report from them and prints the text lines by default, or
+the report as deterministic JSON with --json (stable key order, each base
+turned into a string once, in the inputs, so arbitrary-precision inputs
+survive the round trip and the text lines reuse that string).
 
 Exit codes: 0 ok, 1 verification failure or violated invariant, 2
 usage/parse error or an unwritable --out path, 3 budget exhausted.
@@ -16,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .arith import DEFAULT_BUDGET, InvariantError, NeedsLargerBudget, TowerNotRepresentable, _no_str_digits_limit
+from .arith import DEFAULT_BUDGET, InvariantError, NeedsLargerBudget, _no_str_digits_limit
 from .decadic import AlphaTag, alpha_digits
 
 EXIT_OK = 0
@@ -59,29 +61,11 @@ def _tag(text: str) -> AlphaTag:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _report(command: str, inputs: dict, result: dict, status: str = "ok") -> dict:
-    return {"command": command, "inputs": inputs, "result": result, "status": status}
-
-
-def _emit(report: dict, args, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                json.dump(report, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
-
-
-def cmd_speed(args) -> int:
+def cmd_speed(args) -> tuple[dict, dict, list[str]]:
     from . import speed
 
     a = args.a
+    inputs = {"a": str(a)}
     exact = speed.speed_exact(a)
     by100 = speed.speed_mod100(a)
     by20 = speed.speed_mod20(a)
@@ -97,20 +81,18 @@ def cmd_speed(args) -> int:
         "mod20_map": by20.speed,
         "agreement": agreement,
     }
-    report = _report("speed", {"a": str(a)}, result)
     shown = "undefined" if exact.speed is None else str(exact.speed)
     lines = [
-        f"V({a}) = {shown}",
+        f"V({inputs['a']}) = {shown}",
         f"rule: {exact.rule}",
         f"speed bound: {'-' if bound is None else bound}",
         f"cross-checks: mod-100 map = {by100.speed}, mod-20 map = {by20.speed}"
         f" ({'agree' if agreement else 'DISAGREE'})",
     ]
-    _emit(report, args, lines)
-    return EXIT_OK
+    return inputs, result, lines
 
 
-def cmd_sequence(args) -> int:
+def cmd_sequence(args) -> tuple[dict, dict, list[str]]:
     from . import oracle
 
     seq = oracle.speed_sequence(args.a, args.max_b, args.budget)
@@ -120,17 +102,16 @@ def cmd_sequence(args) -> int:
         "stabilized_at": seq.stabilized_at,
         "speed": seq.speed,
     }
-    report = _report("sequence", {"a": str(args.a), "max_b": args.max_b, "budget": args.budget}, result)
+    inputs = {"a": str(args.a), "max_b": args.max_b, "budget": args.budget}
     lines = [
-        f"V({args.a}, b) for b = 1..{args.max_b}: {seq.entries}",
+        f"V({inputs['a']}, b) for b = 1..{args.max_b}: {seq.entries}",
         f"cumulative stable digits: {seq.frozen_prefix}",
         f"stabilized at: {seq.stabilized_at if seq.stabilized_at is not None else 'not certified in this window'}",
     ]
-    _emit(report, args, lines)
-    return EXIT_OK
+    return inputs, result, lines
 
 
-def cmd_stable(args) -> int:
+def cmd_stable(args) -> tuple[dict, dict, list[str]]:
     from . import stability
 
     count = stability.stable_count(args.a, args.b, args.budget)
@@ -141,57 +122,40 @@ def cmd_stable(args) -> int:
         "upper": count.upper,
         "formula": count.formula_id,
     }
-    report = _report("stable", {"a": str(args.a), "b": args.b}, result)
-    if count.kind == "exact":
-        lines = [f"stable digits of the height-{args.b} tower of {args.a}: {count.value}"]
-    else:
-        lines = [f"stable digits of the height-{args.b} tower of {args.a}: in [{count.lower}, {count.upper}]"]
-    lines.append(f"formula: {count.formula_id}")
-    _emit(report, args, lines)
-    return EXIT_OK
+    inputs = {"a": str(args.a), "b": args.b}
+    shown = count.value if count.kind == "exact" else f"in [{count.lower}, {count.upper}]"
+    lines = [f"stable digits of the height-{args.b} tower of {inputs['a']}: {shown}", f"formula: {count.formula_id}"]
+    return inputs, result, lines
 
 
-def cmd_ratio(args) -> int:
+def cmd_ratio(args) -> tuple[dict, dict, list[str]]:
     from . import stability
 
     ratio = stability.stable_ratio(args.a, args.b, args.budget)
     result = {"numerator": ratio.numerator, "denominator": ratio.denominator, "ratio": float(ratio)}
-    report = _report("ratio", {"a": str(args.a), "b": args.b}, result)
-    _emit(report, args, [f"stable digit ratio at height {args.b}: {ratio} ({float(ratio):.6f})"])
-    return EXIT_OK
+    lines = [f"stable digit ratio at height {args.b}: {ratio} ({float(ratio):.6f})"]
+    return {"a": str(args.a), "b": args.b}, result, lines
 
 
-def cmd_min_height(args) -> int:
+def cmd_min_height(args) -> tuple[dict, dict, list[str]]:
     from . import stability
 
     plan = stability.min_height(args.a, args.target, args.budget)
-    report = _report(
-        "min-height",
-        {"a": str(args.a), "target": args.target},
-        {"target": plan.target, "height": plan.height},
-    )
-    _emit(report, args, [f"least height with >= {args.target} stable digits: {plan.height}"])
-    return EXIT_OK
+    lines = [f"least height with >= {args.target} stable digits: {plan.height}"]
+    return {"a": str(args.a), "target": args.target}, {"target": plan.target, "height": plan.height}, lines
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[dict, dict, list[str]]:
     from . import speed
 
+    inputs = {"a": str(args.a)}
     tier = speed.classify_tier(args.a)
-    report = _report("classify", {"a": str(args.a)}, {"tier": tier.value})
-    _emit(report, args, [f"tier of {args.a}: {tier.value}"])
-    return EXIT_OK
+    return inputs, {"tier": tier.value}, [f"tier of {inputs['a']}: {tier.value}"]
 
 
-def cmd_alpha(args) -> int:
-    digits = alpha_digits(args.tag, args.n)
-    report = _report(
-        "alpha",
-        {"tag": args.tag.label, "n": args.n},
-        {"digits": digits.digits},
-    )
-    _emit(report, args, [digits.digits])
-    return EXIT_OK
+def cmd_alpha(args) -> tuple[dict, dict, list[str]]:
+    digits = alpha_digits(args.tag, args.n).digits
+    return {"tag": args.tag.label, "n": args.n}, {"digits": digits}, [digits]
 
 
 def _verify_base(a: int, max_b: int, budget: int) -> tuple[int, list[dict]]:
@@ -250,7 +214,7 @@ def _verify_chunk(chunk: tuple[int, int, int, int]) -> tuple[int, int, list[dict
     return bases, checks, failures
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, dict, list[str]]:
     lo, hi = args.range
     chunk_size = max(64, (hi - lo + 1) // (8 * args.workers) + 1)
     chunks = [(start, min(start + chunk_size - 1, hi), args.max_b, args.budget)
@@ -267,18 +231,11 @@ def cmd_verify(args) -> int:
     checks = sum(r[1] for r in results)
     failures = [f for r in results for f in r[2]]
     failures.sort(key=lambda f: (int(f["a"]), f["check"]))
-    status = "ok" if not failures else "failed"
-    report = _report(
-        "verify",
-        {"range": f"{lo}..{hi}", "max_b": args.max_b, "budget": args.budget},
-        {"bases_checked": bases, "checks": checks, "failures": failures},
-        status=status,
-    )
-    lines = [f"verified {bases} bases in {lo}..{hi} ({checks} checks): {len(failures)} failure(s)"]
+    inputs = {"range": f"{lo}..{hi}", "max_b": args.max_b, "budget": args.budget}
+    lines = [f"verified {bases} bases in {inputs['range']} ({checks} checks): {len(failures)} failure(s)"]
     for f in failures[:20]:
         lines.append(f"  a={f['a']}: {f['check']}: expected {f['expected']}, got {f['got']}")
-    _emit(report, args, lines)
-    return EXIT_OK if not failures else EXIT_VERIFY_FAILED
+    return inputs, {"bases_checked": bases, "checks": checks, "failures": failures}, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,14 +309,26 @@ def main(argv: list[str] | None = None) -> int:
     with _no_str_digits_limit():
         try:
             args = parser.parse_args(argv)
-            return args.func(args)
+            inputs, result, lines = args.func(args)
+            failed = bool(result.get("failures"))  # only verify's result has a failures list
+            status = "failed" if failed else "ok"
+            report = {"command": args.command, "inputs": inputs, "result": result, "status": status}
+            print(json.dumps(report, sort_keys=True) if args.json else "\n".join(lines))
+            if args.out:
+                try:
+                    with open(args.out, "w") as fh:
+                        json.dump(report, fh, sort_keys=True, indent=2)
+                        fh.write("\n")
+                except OSError as exc:
+                    raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+            return EXIT_VERIFY_FAILED if failed else EXIT_OK
         except InvariantError as exc:
             print(f"error: invariant violated: {exc}", file=sys.stderr)
             return EXIT_VERIFY_FAILED
         except NeedsLargerBudget as exc:
             print(f"error: needs-larger-budget: {exc}", file=sys.stderr)
             return EXIT_BUDGET
-        except (ValueError, TowerNotRepresentable) as exc:
+        except ValueError as exc:  # TowerNotRepresentable among them
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 

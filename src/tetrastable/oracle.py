@@ -107,6 +107,8 @@ def _stable_counts(a: int, heights: int, budget: int) -> list[int]:
     once, on the same inputs as by doubling from 64.  The floor only decides
     which passes run: every count is read off a pass that certifies it.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 digit, got {budget}")
     if a == 0:
         return [0] * heights
     if a == 1:

@@ -9,6 +9,7 @@ roots.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -274,6 +275,29 @@ def planted_base(r20: int, speed: int, five: bool) -> int:
         if min(naive_slopes(a)) == speed:
             return a
     raise AssertionError(f"no planted base of speed {speed} for residue {r20}")
+
+
+# residues mod 20 that share a factor with 10 and are not multiples of 10
+NONCOPRIME_R20 = (2, 4, 5, 6, 8, 12, 14, 15, 16, 18)
+
+
+def planted_noncoprime(r20: int, speed: int) -> int:
+    """A base of class r20 in NONCOPRIME_R20 whose slope at its coprime prime,
+    its speed, is `speed`: a root of a^4 = 1 modulo p^speed (p = 5 for even
+    classes: the 5-adic square roots of -1 on 2 and 3 mod 5, and +-1; p = 2,
+    +-1, for 5 and 15), plus p^speed times a cofactor from a fixed seed,
+    stepped until the class and the exact valuation both hold."""
+    if r20 % 2:
+        p, root = 2, 1 if r20 % 4 == 1 else -1
+    else:
+        p, root = 5, {1: 1, 4: -1, 2: _lift_of_two(speed), 3: -_lift_of_two(speed)}[r20 % 5]
+    m = p**speed
+    u = random.Random(100 * speed + r20).randrange(1, 10**6)
+    while True:
+        a = root % m + m * u
+        if a % 20 == r20 and min(w for w in naive_slopes(a) if w is not None) == speed:
+            return a
+        u += 1
 
 
 @lru_cache(maxsize=64)

@@ -357,6 +357,12 @@ class TestDigit:
         with pytest.raises(ValueError):
             digit(57, 0)
 
+    def test_rejects_negative_numbers(self):
+        # floor division would read -123 as ...9877 and return 7
+        for a, j in ((-123, 1), (-5, 3), (-1, 1)):
+            with pytest.raises(ValueError, match="a >= 0"):
+                digit(a, j)
+
     @given(a=st.integers(0, 10**18))
     def test_reassembles_the_number(self, a):
         total = sum(digit(a, j) * 10 ** (j - 1) for j in range(1, 20))

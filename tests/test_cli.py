@@ -319,6 +319,61 @@ def test_golden_reports_are_byte_identical(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv[:2]
 
 
+# sha256 of the text stdout of the same runs, in the same order: the text
+# lines and the JSON report come from one report path, so both are pinned
+GOLDEN_TEXT = [
+    "9406a11befa49c202395fabd58cf724ed4fe8b2f2c3d80cd6c874f801010a990",
+    "470fc5a2e57dcf8f8098ced1ec9744816aead8996e3eabcf49faa5436b198e2e",
+    "0733de2d3fdfe3a0eb8e90d5b9aa9f5317b060f3a8c05649dc859464c12dd3ac",
+    "ded3209b681060aa48285a9edcacd7f92e853ac22f6910da0c3d6e1b81384730",
+    "2afe577ab7e901f062baf00debbbeaad3cbe7015e0483c98585a773f59a7d633",
+    "6afede377ef022f75785ef58f1cf7b7dd154aed121fba2652c403c4d34dd499e",
+    "87a3f1b0abae6f505303c545661a49c99e588dbc6251bfd54ad79052f41a81c7",
+    "782274c408ae688a472d73bd5c92bd117305b510e006539dfe533e84402b8a47",
+    "262957408709f086821d0ce311bfe2c91e66a651d7f2ae539f4687ffb7674033",
+    "8316d8e93c3f169ee07b8e017b7d5c5f13ffead36103f59d1056e69a38d114c9",
+    "35d10746a6ddba2e85b6154f3a5a2fd81a8134bbae3597366bd215db75ce029f",
+    "35f26eb20b5d3058078588492dfaeefb10a45379120a577c1ffe20c6cec748b9",
+    "a47271f2452b1ed6fa195aa0f17e89d7e3b1f701a3b831c5e98f406a0eb9148d",
+    "c643998bffc71fc13273f0bf5fe0e40381b34e40e094c9b29137cf599f5a8b92",
+    "80a5560e77c016b508580f038d3ab2212ddf0fdcb230f72b2412e83430f02c40",
+    "9fc7ac5f912412f58258cbfee17520bea8ce2b6ff67a37ec729b42bba12e40cb",
+    "465bcfaebe7af04ebf0463e6b752f096515639d4a526a1e13d8244da596a3f4e",
+    "41ce55a1a1ec89aac9301904da53444b93bd1e3718a9ea04afbc8f766751234b",
+    "83d07f5db1f970c79a77233ec71622b91b992b499541d1522ca5fa9d5fabe6bd",
+    "4b3bb09af4a3aaea333eaa3e53a627fb82e2d21bfbd041a3d5451a647741f2a1",
+    "4ea417d7ba1f45bb8711dd41d0d0a70317ca364d467ca341fbc9a6e1c621da69",
+    "e1741863e7f3edf5a79dcbfe1c518e118c79ed63433b2e1ee977b36b6e98a5c4",
+    "2d7bbe80d071f7c502767341a0db81e2d7aff4ea5c9b6998994f19d211fa8e95",
+    "072491c66d14e657f62d159aa927e4702bc095cc1d8f2217c0516dd4869a95f9",
+    "7a741f63b0f8f4363f56a676dc91103549bc4afece9e6e594b9b4247c70e352c",
+    "954109eb22b50e3489fe62280689299c878b320ab42b182af17bc6aef147790d",
+    "8ddba4b2f2d562342e859335a8ec2448a51fb77069b65c33a50fece320829d4b",
+    "1d5a43e24a153890e843df8f6b026038fe8b7c88546796bf7cad291cb276cd98",
+    "c7783d5728d3ac2be9316377d411ee4c9ea831799162b97554a6793c92fecf13",
+    "ae9526b770750784382d862ac75af128b416bb0178feaba87434e832d4df3cec",
+    "ca9b5a0f87a2a081bb3a4825c4b1912174cdc73d5982f32466f42ba29410dc42",
+    "68511f21d78776fcc7af6e55370caf2fb2c3abf197558bdf4b32f6d26396a81b",
+    "065b3b3cf804bb3f43a73f3e7bf27ce2bbe04a92c93a4e4d73d4817cea0e3b57",
+    "a86a83094421c3decabdcfd7efd2258364dcd3827ef8bf1855556f74447e96f2",
+    "b6832035979db5ed080f5e540498bec5b89acf4711f1a0a354978dcba3e24b62",
+    "7ee6570797b5d835080c8390c1f2d6dda15a02eec750d0b418427af7425033d1",
+    "2f32297f1523ae1e81a9d9edab272171175c21ff590f26722e24904fc9b70976",
+    "de7e2e22c56cb9698378bc1e1facb5b049d7473645a98606345d85b49973094c",
+]
+
+
+def test_golden_text_is_byte_identical(capsys):
+    assert len(GOLDEN_TEXT) == len(GOLDEN_REPORTS)
+    together = hashlib.sha256()
+    for (argv, _), want in zip(GOLDEN_REPORTS, GOLDEN_TEXT):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv[:2]
+        together.update(out.encode())
+    assert together.hexdigest() == "1015c64b3cca60cfdfd6d61e7f24f98b895a34a60924d5eefccba73ab2f72f5b"
+
+
 @pytest.mark.parametrize("argv", [("alpha", "07", "50"), ("speed", _BIG + "93")])
 def test_golden_reports_survive_a_cold_call(argv):
     # the path a shell call takes: runpy, the lazy package, the commands' own imports

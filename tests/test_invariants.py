@@ -34,6 +34,19 @@ def test_each_speed_rule_text_is_written_once():
     assert sorted(r for r in set(rules) if rules.count(r) > 1) == []
 
 
+def test_only_main_emits_a_cli_report():
+    # the commands return (inputs, result, lines); main alone prints, serializes and writes
+    emitters = {"print", "open", "json.dumps", "json.dump"}
+    found = []
+    for func in ast.parse((SRC / "cli.py").read_text()).body:
+        if not isinstance(func, ast.FunctionDef) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in emitters:
+                found.append(f"{func.name}:{node.lineno}")
+    assert found == []
+
+
 def test_cli_reports_a_violated_invariant_and_exits_one(capsys, monkeypatch):
     def broken(a):
         raise InvariantError(f"closed form broke at a={a}")

@@ -56,6 +56,14 @@ class TestStableDigitCount:
         # 51 is frozen through "051" against 51^51, but has two digits
         assert stable_digit_count(51, 1) == 2
 
+    def test_a_budget_below_one_digit_is_refused(self):
+        # it used to reach pow() as 2**-3, or a ladder that never starts
+        calls = (lambda: speed_sequence(7, 3, budget=-5), lambda: stable_digit_count(7, 3, -1),
+                 lambda: stable_digit_count(2, 3, -1), lambda: stable_digit_count(7, 3, 0))
+        for call in calls:
+            with pytest.raises(ValueError, match="budget must be at least 1 digit"):
+                call()
+
     def test_multiples_of_ten_count_trailing_zeros(self):
         assert stable_digit_count(20, 1) == 1
         assert stable_digit_count(40, 2) == 40  # 40^40 = 4^40 * 10^40

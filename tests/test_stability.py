@@ -22,7 +22,7 @@ from tetrastable.stability import (
     stable_shape,
 )
 
-from support import reference_digit_count
+from support import CLASS_LABEL, NONCOPRIME_R20, planted_base, planted_noncoprime, reference_digit_count
 
 
 class TestStableExact:
@@ -299,3 +299,38 @@ class TestStabilizationBound:
         for a in (0, 1, 10):
             with pytest.raises(ValueError):
                 stabilization_bound(a)
+
+
+class TestPlantedEveryClass:
+    """Planted bases of high speed in every class mod 20: the exact counts and
+    the coprime brackets against the measured run, and the height bound."""
+
+    @pytest.mark.parametrize("speed", [10, 20, 30])
+    @pytest.mark.parametrize("r20", NONCOPRIME_R20)
+    def test_exact_count_matches_the_oracle(self, r20, speed):
+        a = planted_noncoprime(r20, speed)
+        seq = certified_sequence(a)
+        assert seq.speed == speed
+        assert seq.stabilized_at <= stabilization_bound(a)
+        checked = 0
+        for b, measured in enumerate(seq.frozen_prefix, 1):
+            try:
+                formula = stable_exact(a, b)
+            except FormulaRangeError:
+                continue
+            assert formula.value == measured, (a, b)
+            checked += 1
+        assert checked >= len(seq.frozen_prefix) - 1
+
+    @pytest.mark.parametrize("speed", [30, 40])
+    @pytest.mark.parametrize("five", [True, False])
+    @pytest.mark.parametrize("r20", sorted(CLASS_LABEL))
+    def test_coprime_bracket_holds_the_oracle(self, r20, five, speed):
+        a = planted_base(r20, speed, five)
+        seq = certified_sequence(a)
+        assert seq.speed == speed
+        assert seq.stabilized_at <= stabilization_bound(a)
+        for b in range(2, len(seq.frozen_prefix) + 1):
+            bounds = stable_bounds(a, b)
+            assert bounds.lower <= seq.frozen_prefix[b - 1] <= bounds.upper, (a, b)
+            assert bounds.upper - bounds.lower <= speed + 1, (a, b)
