@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .arith import InvariantError, _crt, _no_str_digits_limit, _v10, decimal_length, digit
+from .arith import _crt, _no_str_digits_limit, _v2, _v5, digit
 
 # (x2, x1) -> coefficients (c1, ce, ct) with alpha = c1 + ce*e5 + ct*t2
 _COMBINATIONS = {
@@ -151,23 +151,24 @@ def key_digit(a: int, tag: AlphaTag) -> KeyDigitReport:
 
     The base is read with implied leading zeros, so when a agrees with the
     constant through its full length the search continues until one of the
-    implied zeros meets a nonzero digit of the constant.  Depths 32, 64, ...
-    are probed up to 4*len(a) + 64 digits.
+    implied zeros meets a nonzero digit of the constant.  At 2 the constant
+    is the integer c1 + ce, one of -1, 0, 1, so v2 of the difference is
+    v2(a - c1 - ce), finite for a >= 2.  v5 is read at depths k = 32, 64, ...
+    until it falls below k or k passes v2; then l = min(v2, v5) + 1 <= k.
     """
     if a < 2:
         raise ValueError("base must be >= 2")
     if a % 10 != tag.x1:
         raise ValueError(f"base ends in {a % 10}, {tag} ends in {tag.x1}")
-    limit = 4 * decimal_length(a) + 64
-    depth = 32
+    c1, ce, _ = _COMBINATIONS[tag]
+    v2 = _v2(a - c1 - ce)
+    k = 32
     while True:
-        depth = min(depth, limit)
-        alpha = alpha_value(tag, depth)
-        diff = (a - alpha) % 10**depth
-        if diff:
-            l = int(_v10(diff)) + 1
-            s_l = digit(a, l)
-            return KeyDigitReport(l=l, s_l=s_l, diff=s_l - digit(alpha, l))
-        if depth == limit:
-            raise InvariantError(f"no key digit found for {a} against {tag}")
-        depth *= 2
+        alpha = alpha_value(tag, k)
+        v5 = _v5((a - alpha) % 5**k)
+        if v5 < k or k > v2:
+            break
+        k *= 2
+    l = min(v2, v5) + 1
+    s_l = digit(a, l)
+    return KeyDigitReport(l=l, s_l=s_l, diff=s_l - digit(alpha, l))

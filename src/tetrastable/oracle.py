@@ -12,7 +12,6 @@ first and from which height a measured speed is certified constant.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .arith import (
     DEFAULT_BUDGET,
@@ -77,6 +76,11 @@ def _counts_at_precision(a: int, heights: int, ndigits: int) -> list[int] | None
     return counts
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 digit, got {budget}")
+
+
 def _stable_counts(a: int, heights: int, budget: int) -> list[int]:
     """Counts for b = 1..H, H = heights, from the first pass of the ladder
     n = 64, 128, 256, ... (at most budget) whose counts all stay below n.
@@ -107,8 +111,7 @@ def _stable_counts(a: int, heights: int, budget: int) -> list[int]:
     once, on the same inputs as by doubling from 64.  The floor only decides
     which passes run: every count is read off a pass that certifies it.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1 digit, got {budget}")
+    _check_budget(budget)
     if a == 0:
         return [0] * heights
     if a == 1:
@@ -137,6 +140,7 @@ def stable_digit_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of stable digits of the height-b tower of a."""
     if a < 0 or b < 1:
         raise ValueError("need a >= 0 and b >= 1")
+    _check_budget(budget)
     if a % 10 == 0 and a > 0:
         return _trailing_zero_count(a, b)
     return _stable_counts(a, b, budget)[-1]
@@ -170,27 +174,20 @@ def _certified_height(a: int) -> int:
     return 1 if a == 0 else (2 if a == 1 else speed_bound(a) + 2)
 
 
-@lru_cache(maxsize=512)
-def _certified_run(a: int, budget: int) -> tuple[tuple[int, ...], int]:
-    height = _certified_height(a) + 1
-    seq = speed_sequence(a, height, budget)
-    if seq.stabilized_at is None:
-        raise InvariantError(f"stabilization of {a} not certified by height {height}")
-    return tuple(seq.frozen_prefix), seq.stabilized_at
-
-
 def certified_sequence(a: int, budget: int = DEFAULT_BUDGET) -> SpeedSequence:
-    """speed_sequence run one height past _certified_height(a) (cached), for
-    every base whose speed is defined.
+    """speed_sequence run one height past _certified_height(a), for every
+    base whose speed is defined.
 
     stabilized_at and speed are never None: an uncertified run raises
     InvariantError.
     """
     if a < 0 or (a % 10 == 0 and a != 0):
         raise ValueError("defined for a >= 0 not a positive multiple of 10")
-    counts, stabilized = _certified_run(a, budget)
-    entries = [counts[0]] + [counts[i] - counts[i - 1] for i in range(1, len(counts))]
-    return SpeedSequence(a=a, entries=entries, frozen_prefix=list(counts), stabilized_at=stabilized)
+    height = _certified_height(a) + 1
+    seq = speed_sequence(a, height, budget)
+    if seq.stabilized_at is None:
+        raise InvariantError(f"stabilization of {a} not certified by height {height}")
+    return seq
 
 
 def measure_stabilization(a: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -15,7 +15,9 @@ v2(a - 1) when a == 1 (mod 4) and v2(a + 1) when a == 3.  So speed_bound
 (in arith) is w5, or w2 when 5 divides a; the rows of _COPRIME_RULES name
 the factors that match a mod 20, so the mod-20 split is the least slope at
 a prime not dividing a, and the key-digit map tells which one that is.
-v5(a^2 + 1) is read as w5, so a long base is never squared.
+Each row is a label and the names of its valuations, and _VALUATIONS
+computes what each name says; v5(a^2 + 1) is read as w5 and
+v2(a^2 - 1) - 1 as w2, so a long base is never squared.
 """
 from __future__ import annotations
 
@@ -37,17 +39,26 @@ TAG_BY_MOD20 = {
     19: AlphaTag(9, 9),
 }
 
-# mod-20 residue -> (5-adic rule, 2-adic rule); each rule is (prime, shift, square)
-# meaning v_prime(a^2+1) when square else v_prime(a+shift).
+# valuation name -> its value; v5(a^2+1) is only named at a == 2, 3 (mod 5)
+_VALUATIONS = {
+    "v2(a-1)": lambda a: _v2(a - 1),
+    "v2(a+1)": lambda a: _v2(a + 1),
+    "v5(a-1)": lambda a: _v5(a - 1),
+    "v5(a+1)": lambda a: _v5(a + 1),
+    "v5(a^2+1)": lambda a: _slope(a, 5),
+    "v2(a^2-1)-1": lambda a: _slope(a, 2),
+}
+
+# mod-20 residue -> (2-adic rule, 5-adic rule)
 _COPRIME_RULES = {
-    1: ((5, -1, False), (2, -1, False)),
-    11: ((5, -1, False), (2, +1, False)),
-    3: ((5, 0, True), (2, +1, False)),
-    13: ((5, 0, True), (2, -1, False)),
-    7: ((5, 0, True), (2, +1, False)),
-    17: ((5, 0, True), (2, -1, False)),
-    9: ((5, +1, False), (2, -1, False)),
-    19: ((5, +1, False), (2, +1, False)),
+    1: ("v2(a-1)", "v5(a-1)"),
+    11: ("v2(a+1)", "v5(a-1)"),
+    3: ("v2(a+1)", "v5(a^2+1)"),
+    13: ("v2(a-1)", "v5(a^2+1)"),
+    7: ("v2(a+1)", "v5(a^2+1)"),
+    17: ("v2(a-1)", "v5(a^2+1)"),
+    9: ("v2(a-1)", "v5(a+1)"),
+    19: ("v2(a+1)", "v5(a+1)"),
 }
 
 
@@ -71,19 +82,10 @@ def tier_of(speed: int | None) -> Tier:
     return {0: Tier.V0, 1: Tier.V1, 2: Tier.V2}[speed]
 
 
-def _apply(rule: tuple[int, int, bool], a: int) -> int:
-    # a >= 3 is coprime to 10, so each valuation is finite
-    p, shift, square = rule
-    if square:  # every squared rule is v5(a^2+1), at a == 2 or 3 (mod 5): w5
-        return _slope(a, 5)
-    return _v2(a + shift) if p == 2 else _v5(a + shift)
-
-
-def _rule_text(rule: tuple[int, int, bool]) -> str:
-    p, shift, square = rule
-    if square:
-        return f"v{p}(a^2+1)"
-    return f"v{p}(a{'+' if shift > 0 else '-'}1)"
+def _rule(a: int, label: str, *names: str) -> SpeedResult:
+    """The least of the named valuations of a, with the rule as printed."""
+    text = names[0] if len(names) == 1 else f"min({', '.join(names)})"
+    return SpeedResult(min(_VALUATIONS[name](a) for name in names), f"{label}: {text}")
 
 
 def speed_mod100(a: int) -> SpeedResult:
@@ -97,25 +99,25 @@ def speed_mod100(a: int) -> SpeedResult:
         return SpeedResult(None, "positive multiple of 10: undefined")
     r100 = a % 100
     if r100 == 1:
-        return SpeedResult(min(int(_v2(a - 1)), int(_v5(a - 1))), "mod100=1: min(v2(a-1), v5(a-1))")
+        return _rule(a, "mod100=1", "v2(a-1)", "v5(a-1)")
     if r100 == 51:
-        return SpeedResult(min(int(_v2(a + 1)), int(_v5(a - 1))), "mod100=51: min(v2(a+1), v5(a-1))")
+        return _rule(a, "mod100=51", "v2(a+1)", "v5(a-1)")
     if r10 in (2, 8):
-        return SpeedResult(_slope(a, 5), "mod10 in {2,8}: v5(a^2+1)")
+        return _rule(a, "mod10 in {2,8}", "v5(a^2+1)")
     if r100 in (7, 43):
-        return SpeedResult(min(int(_v2(a + 1)), _slope(a, 5)), "mod100 in {7,43}: min(v2(a+1), v5(a^2+1))")
+        return _rule(a, "mod100 in {7,43}", "v2(a+1)", "v5(a^2+1)")
     if r100 in (57, 93):
-        return SpeedResult(min(int(_v2(a - 1)), _slope(a, 5)), "mod100 in {57,93}: min(v2(a-1), v5(a^2+1))")
+        return _rule(a, "mod100 in {57,93}", "v2(a-1)", "v5(a^2+1)")
     if r10 == 4:
-        return SpeedResult(int(_v5(a + 1)), "mod10=4: v5(a+1)")
+        return _rule(a, "mod10=4", "v5(a+1)")
     if r10 == 5:
-        return SpeedResult(_slope(a, 2), "mod10=5: v2(a^2-1)-1")
+        return _rule(a, "mod10=5", "v2(a^2-1)-1")
     if r10 == 6:
-        return SpeedResult(int(_v5(a - 1)), "mod10=6: v5(a-1)")
+        return _rule(a, "mod10=6", "v5(a-1)")
     if r100 == 49:
-        return SpeedResult(min(int(_v2(a - 1)), int(_v5(a + 1))), "mod100=49: min(v2(a-1), v5(a+1))")
+        return _rule(a, "mod100=49", "v2(a-1)", "v5(a+1)")
     if r100 == 99:
-        return SpeedResult(min(int(_v2(a + 1)), int(_v5(a + 1))), "mod100=99: min(v2(a+1), v5(a+1))")
+        return _rule(a, "mod100=99", "v2(a+1)", "v5(a+1)")
     return SpeedResult(1, "default: 1")
 
 
@@ -126,13 +128,10 @@ def speed_mod20(a: int) -> SpeedResult:
         return speed_mod100(a)
     r20 = a % 20
     if r20 == 5:
-        return SpeedResult(int(_v2(a - 1)), "mod20=5: v2(a-1)")
+        return _rule(a, "mod20=5", "v2(a-1)")
     if r20 == 15:
-        return SpeedResult(int(_v2(a + 1)), "mod20=15: v2(a+1)")
-    five_rule, two_rule = _COPRIME_RULES[r20]
-    v5v = _apply(five_rule, a)
-    v2v = _apply(two_rule, a)
-    return SpeedResult(min(v2v, v5v), f"mod20={r20}: min({_rule_text(two_rule)}, {_rule_text(five_rule)})")
+        return _rule(a, "mod20=15", "v2(a+1)")
+    return _rule(a, f"mod20={r20}", *_COPRIME_RULES[r20])
 
 
 def speed_exact(a: int) -> SpeedResult:
@@ -146,14 +145,10 @@ def speed_exact(a: int) -> SpeedResult:
     r20 = a % 20
     tag = TAG_BY_MOD20[r20]
     report = key_digit(a, tag)
-    five_rule, two_rule = _COPRIME_RULES[r20]
+    two_rule, five_rule = _COPRIME_RULES[r20]
     if abs(report.diff) == 5:
-        rule = two_rule
-        cond = f"|s_l-{tag}[l]|=5"
-    else:
-        rule = five_rule
-        cond = f"|s_l-{tag}[l]|={abs(report.diff)}!=5"
-    return SpeedResult(_apply(rule, a), f"mod20={r20}, l={report.l}, {cond}: {_rule_text(rule)}")
+        return _rule(a, f"mod20={r20}, l={report.l}, |s_l-{tag}[l]|=5", two_rule)
+    return _rule(a, f"mod20={r20}, l={report.l}, |s_l-{tag}[l]|={abs(report.diff)}!=5", five_rule)
 
 
 # residues mod 25 with V(a) = 1, and the mod-1000 residues with V(a) >= 3

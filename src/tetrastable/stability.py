@@ -16,7 +16,7 @@ from .arith import (
     DEFAULT_BUDGET, InvariantError, TowerNotRepresentable, _tower_of, decimal_length, speed_bound,
     tower_value_capped,
 )
-from .oracle import certified_sequence, stable_digit_count
+from .oracle import _check_budget, certified_sequence, stable_digit_count
 from .speed import speed_exact
 
 
@@ -137,6 +137,7 @@ def stable_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> StableCount:
     """Best available count: exact where a formula or the stabilized tail applies."""
     if a < 0 or b < 1:
         raise ValueError("need a >= 0 and b >= 1")
+    _check_budget(budget)
     if a == 0:
         return StableCount.exact(0, "a=0: no stable digits")
     if a == 1:
@@ -187,6 +188,7 @@ def stable_ratio(a: int, b: int, budget: int = DEFAULT_BUDGET) -> Fraction:
         raise ValueError("defined for a >= 1 not a multiple of 10")
     if b < 1:
         raise ValueError("height starts at 1")
+    _check_budget(budget)
     if a == 1:
         return Fraction(1, 1)
     e = tower_value_capped(a, b - 1, 10**18)
@@ -201,6 +203,7 @@ def min_height(a: int, target: int, budget: int = DEFAULT_BUDGET) -> HeightPlan:
         raise ValueError("defined for a >= 2 not a multiple of 10")
     if target < 0:
         raise ValueError("target must be nonnegative")
+    _check_budget(budget)
     if target == 0:
         return HeightPlan(target=0, height=1)
     seq = certified_sequence(a, budget)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tetrastable
-from tetrastable import cli, oracle
+from tetrastable import cli, oracle, speed
 from tetrastable.cli import _verify_base, main
 from tetrastable.speed import speed_mod20
 
@@ -60,6 +60,10 @@ class TestSpeedCommand:
         with pytest.raises(SystemExit) as exc:
             main(["speed", "-5"])
         assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sequence", "7", "--max-b", "0"])
+        assert exc.value.code == 2
+        assert "value must be positive" in capsys.readouterr().err
 
 
 class TestSequenceCommand:
@@ -218,9 +222,33 @@ class TestVerifyCommand:
         assert {"a": "7", "check": "bound width at b=2", "expected": "<= V+1 = None", "got": "3"} in failures
 
     def test_rejects_bad_ranges(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--range", "9..2"])
-        assert exc.value.code == 2
+        for text, message in (("9..2", "empty range"), ("5", "range must look like LO..HI")):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--range", text])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+
+    def test_a_failing_scan_exits_one_and_keeps_every_failure(self, capsys, monkeypatch):
+        # a mod-20 map off by one; speed_exact hands its non-coprime bases to it too
+        real = speed.speed_mod20
+        monkeypatch.setattr(speed, "speed_mod20", lambda a: real(a)._replace(speed=real(a).speed + 1))
+        expected = []
+        for a in range(2, 41):
+            if a % 10 == 0:
+                continue
+            v = oracle.certified_sequence(a).speed
+            checks = ["speed: mod-20 map vs oracle"] + (["speed: exact vs oracle"] if a % 2 == 0 or a % 5 == 0 else [])
+            expected += [{"a": str(a), "check": c, "expected": str(v), "got": str(v + 1)} for c in sorted(checks)]
+        assert len(expected) > 20
+        code, report, _ = run_json(capsys, "verify", "--range", "2..40")
+        assert code == 1
+        assert report["status"] == "failed"
+        assert report["result"]["failures"] == expected
+        code, out, _ = run(capsys, "verify", "--range", "2..40")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == f"verified 35 bases in 2..40 ({report['result']['checks']} checks): {len(expected)} failure(s)"
+        assert lines[1:] == [f"  a={f['a']}: {f['check']}: expected {f['expected']}, got {f['got']}" for f in expected[:20]]
 
 
 def _digits_to_int(digits: str) -> int:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tetrastable import decadic
-from tetrastable.arith import InvariantError, _no_str_digits_limit
+from tetrastable.arith import _no_str_digits_limit
 from tetrastable.decadic import (
     ALPHA_TAGS,
     AlphaTag,
@@ -201,16 +200,17 @@ class TestKeyDigit:
                 r = key_digit(a, tag)
                 assert (r.l, r.s_l, r.diff) == scan_key_digit(a, tag.label)
 
-    def test_search_reaches_four_lengths_plus_64_and_no_further(self, monkeypatch):
-        # a stand-in constant that agrees with 51 up to a lone 1 at position p
-        for p in (40, 72, 73):
-            monkeypatch.setattr(decadic, "alpha_value", lambda tag, n, p=p: (51 + 10 ** (p - 1)) % 10**n)
-            if p <= 4 * 2 + 64:
-                r = key_digit(51, AlphaTag(5, 1))
-                assert (r.l, r.s_l, r.diff) == (p, 0, -1)
-            else:
-                with pytest.raises(InvariantError):
-                    key_digit(51, AlphaTag(5, 1))
+    @pytest.mark.parametrize("tag", ALPHA_TAGS, ids=str)
+    def test_the_5_adic_agreement_outlasts_the_2_adic_one(self, tag):
+        # the constant mod 5^120 but only mod 2^v at 2: the search passes 64
+        # digits and ends at l = v + 1, which v2 alone decides
+        n = 120
+        m2, m5 = 2**n, 5**n
+        for v in (64, 65, 100, 119):
+            a = (crt_fifth_power_root(tag.label, n) + m5 * (2**v * pow(m5, -1, m2) % m2)) % 10**n
+            r = key_digit(a, tag)
+            assert r.l == v + 1
+            assert (r.l, r.s_l, r.diff) == scan_key_digit(a, tag.label)
 
     def test_bases_past_the_str_digits_limit(self):
         a = 7 * 10**5000 + alpha_value(AlphaTag(5, 1), 40)

@@ -24,14 +24,35 @@ def test_source_has_no_assert_statements():
 
 
 def test_each_speed_rule_text_is_written_once():
-    # a map that would restate another map's row hands the base to it instead
-    rules = []
+    # a map that would restate another map's row hands the base to it instead.
+    # A row is SpeedResult(speed, "text") or _rule(a, label, *names), named by
+    # its text or label (an f-string label by its source).
+    rows, names = [], {name for pair in speed._COPRIME_RULES.values() for name in pair}
     for node in ast.walk(ast.parse((SRC / "speed.py").read_text())):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SpeedResult":
+        func = getattr(node, "func", None)
+        if getattr(func, "id", None) == "SpeedResult":
             args = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "rule")]
-            rules += [arg.value for arg in args if isinstance(arg, ast.Constant)]
-    assert rules
-    assert sorted(r for r in set(rules) if rules.count(r) > 1) == []
+            rows += [arg.value for arg in args if isinstance(arg, ast.Constant)]
+        elif getattr(func, "id", None) == "_rule":
+            label, *named = node.args[1:]
+            rows.append(label.value if isinstance(label, ast.Constant) else ast.unparse(label))
+            names |= {arg.value for arg in named if isinstance(arg, ast.Constant)}
+    assert sorted(r for r in set(rows) if rows.count(r) > 1) == []
+    assert len(rows) == 18  # 13 rows in speed_mod100, 3 in speed_mod20 and 2 in speed_exact
+    assert names == set(speed._VALUATIONS)  # every name a rule prints is computed, and no other
+
+
+def test_no_function_keeps_a_process_wide_cache():
+    # a cache must come with a workload that shows its traffic
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    if ast.unparse(target).split(".")[-1] in ("lru_cache", "cache"):
+                        found.append(f"{path.name}:{node.name}")
+    assert found == []
 
 
 def test_only_main_emits_a_cli_report():

@@ -57,11 +57,15 @@ class TestStableDigitCount:
         assert stable_digit_count(51, 1) == 2
 
     def test_a_budget_below_one_digit_is_refused(self):
-        # it used to reach pow() as 2**-3, or a ladder that never starts
+        # it used to reach pow() as 2**-3, or a ladder that never starts; a
+        # multiple of 10 was answered before any check
         calls = (lambda: speed_sequence(7, 3, budget=-5), lambda: stable_digit_count(7, 3, -1),
-                 lambda: stable_digit_count(2, 3, -1), lambda: stable_digit_count(7, 3, 0))
+                 lambda: stable_digit_count(2, 3, -1), lambda: stable_digit_count(7, 3, 0),
+                 lambda: stable_digit_count(20, 2, -1), lambda: speed_sequence(0, 3, -1),
+                 lambda: certified_sequence(1, -1), lambda: measure_stabilization(7, -1),
+                 lambda: measured_speed(7, 0))
         for call in calls:
-            with pytest.raises(ValueError, match="budget must be at least 1 digit"):
+            with pytest.raises(ValueError, match=r"budget must be at least 1 digit, got (-1|-5|0)$"):
                 call()
 
     def test_multiples_of_ten_count_trailing_zeros(self):

@@ -124,6 +124,17 @@ class TestStableShape:
                 stable_shape(a)
 
 
+class TestBudget:
+    def test_a_budget_below_one_digit_is_refused_before_any_class_branch(self):
+        # the first five answered from a closed form or a shortcut before the check
+        calls = (lambda: stable_count(0, 3, -1), lambda: stable_count(6, 2, -1), lambda: stable_ratio(1, 3, -1),
+                 lambda: min_height(7, 0, -1), lambda: stable_count(20, 2, 0), lambda: stable_count(7, 5, -1),
+                 lambda: stable_shape(7, -1), lambda: stable_ratio(7, 2, 0), lambda: min_height(7, 10, -1))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^budget must be at least 1 digit, got (-1|0)$"):
+                call()
+
+
 class TestStableCount:
     def test_reference_values(self):
         assert stable_count(163574218751, 10).value == 143
