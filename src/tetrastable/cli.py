@@ -123,8 +123,7 @@ def cmd_stable(args) -> tuple[dict, dict, list[str]]:
         "formula": count.formula_id,
     }
     inputs = {"a": str(args.a), "b": args.b}
-    shown = count.value if count.kind == "exact" else f"in [{count.lower}, {count.upper}]"
-    lines = [f"stable digits of the height-{args.b} tower of {inputs['a']}: {shown}", f"formula: {count.formula_id}"]
+    lines = [f"stable digits of the height-{args.b} tower of {inputs['a']}: {count.value}", f"formula: {count.formula_id}"]
     return inputs, result, lines
 
 

@@ -178,15 +178,16 @@ def certified_sequence(a: int, budget: int = DEFAULT_BUDGET) -> SpeedSequence:
     """speed_sequence run one height past _certified_height(a), for every
     base whose speed is defined.
 
-    stabilized_at and speed are never None: an uncertified run raises
+    stabilized_at is never None and never above _certified_height(a), from
+    which the paper proves V(a, b) constant: a run that breaks either raises
     InvariantError.
     """
     if a < 0 or (a % 10 == 0 and a != 0):
         raise ValueError("defined for a >= 0 not a positive multiple of 10")
-    height = _certified_height(a) + 1
-    seq = speed_sequence(a, height, budget)
-    if seq.stabilized_at is None:
-        raise InvariantError(f"stabilization of {a} not certified by height {height}")
+    height = _certified_height(a)
+    seq = speed_sequence(a, height + 1, budget)
+    if seq.stabilized_at is None or seq.stabilized_at > height:
+        raise InvariantError(f"stabilization of {a} not certified by height {height}, got {seq.stabilized_at}")
     return seq
 
 

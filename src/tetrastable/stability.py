@@ -1,8 +1,10 @@
 """Closed-form stable-digit counts, bounds, ratio and height planning.
 
 For bases sharing a factor with 10 the count has an exact linear form in the
-height; for coprime bases it is pinned between two linear forms at most
-V(a)+1 apart, and the exact shape is measured through the oracle.
+height.  For coprime bases the paper pins it between two linear forms at most
+V(a)+1 apart (stable_bounds); stable_count answers exactly from the oracle's
+certified run instead: measured below the stabilization height, and linear
+with slope V(a) from it on.
 """
 from __future__ import annotations
 
@@ -27,7 +29,8 @@ class FormulaRangeError(ValueError):
 class StableCount(namedtuple("StableCount", "kind value lower upper formula_id")):
     """Exact count or a bracketing interval, with the formula that produced it.
 
-    kind is "exact" (value == lower == upper) or "bounded" (value is None).
+    kind is "exact" (value == lower == upper), as from stable_count, or
+    "bounded" (value is None), as from stable_bounds.
     """
 
     __slots__ = ()
@@ -111,30 +114,28 @@ def stable_bounds(a: int, b: int) -> StableCount:
 def stable_shape(a: int, budget: int = DEFAULT_BUDGET) -> StableShape:
     """Measured linear shape of the count at stabilized heights.
 
-    On {3,7} mod 20 the shape is decided by one comparison: (b-1)V exactly
-    when V(a,2) equals V(a), and bV+1 otherwise.  Other coprime classes are
-    matched against the four candidate forms at two consecutive heights.
-    For speed 1 the forms bV+1 and (b+1)V coincide; bV+1 is reported.
+    The shape is the candidate form that matches the measured count at the
+    stabilization height bbar; from there every count rises by V, as every
+    form does.  On {3,7} mod 20 it is checked against the paper's rule:
+    (b-1)V exactly when V(a,2) equals V(a), and bV+1 otherwise.  For speed 1
+    the forms bV+1 and (b+1)V coincide; bV+1 is reported.
     """
     if a < 3 or a % 2 == 0 or a % 5 == 0:
         raise ValueError("defined for a >= 3 coprime to 10")
     seq = certified_sequence(a, budget)
-    bbar = seq.stabilized_at
-    v = seq.speed
-    n1, n2 = seq.frozen_prefix[bbar - 1], seq.frozen_prefix[bbar]
-    if a % 20 in (3, 7):
-        shape = StableShape.B_MINUS_1_V if seq.entries[1] == v else StableShape.B_V_PLUS_1
-        if (n1, n2) != (shape.count_at(bbar, v), shape.count_at(bbar + 1, v)):
-            raise InvariantError(f"shape rule disagrees with measured counts for a={a}")
-        return shape
-    for shape in StableShape:
-        if n1 == shape.count_at(bbar, v) and n2 == shape.count_at(bbar + 1, v):
-            return shape
-    raise InvariantError(f"no linear shape matches measured counts for a={a}")
+    bbar, v = seq.stabilized_at, seq.speed
+    shape = next((s for s in StableShape if s.count_at(bbar, v) == seq.frozen_prefix[bbar - 1]), None)
+    if shape is None:
+        raise InvariantError(f"no linear shape matches measured counts for a={a}")
+    rule = StableShape.B_MINUS_1_V if seq.entries[1] == v else StableShape.B_V_PLUS_1
+    if a % 20 in (3, 7) and shape is not rule:
+        raise InvariantError(f"shape rule disagrees with measured counts for a={a}")
+    return shape
 
 
 def stable_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> StableCount:
-    """Best available count: exact where a formula or the stabilized tail applies."""
+    """Exact count: a class formula, or the oracle's certified run, measured
+    below the stabilization height bbar and n(bbar) + (b-bbar)V from it on."""
     if a < 0 or b < 1:
         raise ValueError("need a >= 0 and b >= 1")
     _check_budget(budget)
@@ -151,13 +152,10 @@ def stable_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> StableCount:
             return StableCount.exact(stable_digit_count(a, b, budget), "oracle (below formula range)")
     seq = certified_sequence(a, budget)
     bbar = seq.stabilized_at
-    v = seq.speed
-    if b >= bbar:
-        prefix = seq.frozen_prefix[bbar - 1]
-        return StableCount.exact(prefix + (b - bbar) * v, "stabilized tail: n(bbar) + (b-bbar)V")
-    if b == 1:
-        return StableCount.exact(seq.frozen_prefix[0], "oracle prefix (b=1)")
-    return stable_bounds(a, b)
+    if b < bbar:
+        return StableCount.exact(seq.frozen_prefix[b - 1], "oracle prefix (b < bbar)")
+    tail = seq.frozen_prefix[bbar - 1] + (b - bbar) * seq.speed
+    return StableCount.exact(tail, "stabilized tail: n(bbar) + (b-bbar)V")
 
 
 def _certified_digit_count(a: int, e: int) -> int:

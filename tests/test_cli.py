@@ -11,6 +11,7 @@ import tetrastable
 from tetrastable import cli, oracle, speed
 from tetrastable.cli import _verify_base, main
 from tetrastable.speed import speed_mod20
+from tetrastable.stability import stable_bounds
 
 
 def run(capsys, *argv):
@@ -107,10 +108,16 @@ class TestSmallCommands:
         assert report["result"]["value"] == 8
         assert report["result"]["kind"] == "exact"
 
-    def test_stable_bounded(self, capsys):
+    def test_stable_below_stabilization_is_exact(self, capsys):
+        # 163574218751 stabilizes at height 7; the paper's bracket at height 4 is [52, 65]
         code, report, _ = run_json(capsys, "stable", "163574218751", "4")
-        assert report["result"]["kind"] == "bounded"
-        assert report["result"]["lower"] <= report["result"]["upper"]
+        assert code == 0
+        assert report["result"] == {"kind": "exact", "value": 61, "lower": 61, "upper": 61,
+                                    "formula": "oracle prefix (b < bbar)"}
+        bracket = stable_bounds(163574218751, 4)
+        assert bracket.lower <= 61 <= bracket.upper
+        code, out, _ = run(capsys, "stable", "163574218751", "4")
+        assert out.splitlines()[0] == "stable digits of the height-4 tower of 163574218751: 61"
 
     def test_unrepresentable_multiple_of_ten_names_the_requested_height(self, capsys):
         code, _, err = run(capsys, "stable", "10", "5")

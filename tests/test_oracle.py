@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tetrastable import arith, oracle
-from tetrastable.arith import TowerNotRepresentable, _exp_terms, tower_value_capped
+from tetrastable.arith import InvariantError, TowerNotRepresentable, _exp_terms, tower_value_capped
 from tetrastable.decadic import alpha_value
 from tetrastable.oracle import (
     NeedsLargerBudget,
@@ -20,6 +20,7 @@ from tetrastable.oracle import (
     stable_digit_count,
 )
 from tetrastable.speed import TAG_BY_MOD20, speed_bound, speed_exact, speed_mod20
+from tetrastable.stability import stable_shape
 
 from support import (
     brute_stable_count,
@@ -155,6 +156,19 @@ class TestStabilization:
         zero, one = certified_sequence(0), certified_sequence(1)
         assert (zero.stabilized_at, zero.speed) == (1, 0)
         assert (one.stabilized_at, one.speed) == (2, 0)
+
+    @pytest.mark.parametrize("reported", [lambda max_b: None, lambda max_b: max_b], ids=["absent", "late"])
+    def test_a_run_not_stable_from_the_certified_height_is_a_failed_check(self, monkeypatch, reported):
+        # 7 is certified from height 4, so its run goes to height 5
+        real = oracle.speed_sequence
+
+        def broken(a, max_b, budget):
+            return real(a, max_b, budget)._replace(stabilized_at=reported(max_b))
+
+        monkeypatch.setattr(oracle, "speed_sequence", broken)
+        for call in (certified_sequence, stable_shape):  # stable_shape would index past the run
+            with pytest.raises(InvariantError, match=r"^stabilization of 7 not certified by height 4, got (None|5)$"):
+                call(7)
 
     @pytest.mark.parametrize("call, a", [(measure_stabilization, 0), (certified_sequence, -1), (certified_sequence, 30)])
     def test_rejects_bases_without_a_speed(self, call, a):

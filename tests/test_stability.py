@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tetrastable.arith import NeedsLargerBudget, _no_str_digits_limit, decimal_length
-from tetrastable.oracle import certified_sequence, stable_digit_count
+from tetrastable import oracle
+from tetrastable.arith import InvariantError, NeedsLargerBudget, _no_str_digits_limit, decimal_length
+from tetrastable.oracle import certified_sequence, measure_stabilization, stable_digit_count
 from tetrastable.speed import speed_exact
 from tetrastable.stability import (
     FormulaRangeError,
@@ -118,6 +119,19 @@ class TestStableShape:
             for b in (bbar, bbar + 1):
                 assert shape.count_at(b, v) == seq.frozen_prefix[b - 1]
 
+    def test_the_paper_rule_on_3_and_7_mod_20_is_checked(self, monkeypatch):
+        # 807 (V = 3, V(a,2) = 4, stabilized at 6) has shape bV+1; a V(a,2) equal
+        # to V(a) makes the rule say (b-1)V while the counts stay as measured
+        real = oracle.speed_sequence
+
+        def second_step_at_speed(a, max_b, budget):
+            seq = real(a, max_b, budget)
+            return seq._replace(entries=[seq.entries[0], seq.speed, *seq.entries[2:]])
+
+        monkeypatch.setattr(oracle, "speed_sequence", second_step_at_speed)
+        with pytest.raises(InvariantError, match="shape rule disagrees"):
+            stable_shape(807)
+
     def test_rejects_non_coprime_bases(self):
         for a in (2, 5, 10, 1):
             with pytest.raises(ValueError):
@@ -150,11 +164,15 @@ class TestStableCount:
         bracket = stable_bounds(3, 2)
         assert bracket.lower <= got.value <= bracket.upper
 
-    def test_below_stabilization_reports_bounds(self):
+    def test_below_stabilization_reads_the_measured_count(self):
         # 163574218751 stabilizes at height 7
-        got = stable_count(163574218751, 4)
-        assert got.kind == "bounded"
-        assert got.lower <= stable_digit_count(163574218751, 4) <= got.upper
+        a = 163574218751
+        for b, want in zip(range(2, 7), (31, 46, 61, 76, 91)):
+            got = stable_count(a, b)
+            assert (got.kind, got.value) == ("exact", want), b
+            assert stable_digit_count(a, b) == want, b
+            bracket = stable_bounds(a, b)
+            assert bracket.lower <= want <= bracket.upper, b
 
     def test_height_one_stays_exact(self):
         got = stable_count(163574218751, 1)
@@ -172,6 +190,37 @@ class TestStableCount:
             got = stable_count(a, b)
             if got.kind == "exact":
                 assert got.value == stable_digit_count(a, b), (a, b)
+
+
+def check_count_agrees_with_min_height(a: int) -> None:
+    """stable_count is exact at heights 1..bbar+2, equals the certified run,
+    lies in the paper's bracket below bbar, and min_height(a, t) is the least
+    height whose count reaches t, at every target where that height changes."""
+    seq = certified_sequence(a)
+    bbar = seq.stabilized_at
+    counts = [stable_count(a, b) for b in range(1, bbar + 3)]
+    assert {c.kind for c in counts} == {"exact"}, a
+    values = [c.value for c in counts]
+    assert values[: bbar + 1] == seq.frozen_prefix[: bbar + 1], a
+    for b in range(2, bbar):
+        bracket = stable_bounds(a, b)
+        assert bracket.lower <= values[b - 1] <= bracket.upper, (a, b)
+    for target in sorted({0, *values, *(n + 1 for n in values[:-1])}):
+        least = next(b for b, n in enumerate(values, 1) if n >= target)
+        assert min_height(a, target).height == least, (a, target)
+
+
+class TestStableCountAgreesWithMinHeight:
+    @pytest.mark.parametrize("five", [True, False])
+    @pytest.mark.parametrize("r20", sorted(CLASS_LABEL))
+    def test_planted_bases(self, r20, five):
+        # all 8 coprime classes and both key-digit branches; 7 of the 16 stabilize after height 2
+        check_count_agrees_with_min_height(planted_base(r20, 10, five))
+
+    def test_small_coprime_bases(self):
+        for a in range(3, 401):
+            if a % 2 and a % 5:
+                check_count_agrees_with_min_height(a)
 
 
 class TestStableRatio:
@@ -305,6 +354,11 @@ class TestStabilizationBound:
         from tetrastable.oracle import measure_stabilization
 
         assert measure_stabilization(a) <= stabilization_bound(a), a
+
+    @pytest.mark.parametrize("r20, speed, height", [(7, 10, 13), (3, 10, 13), (7, 20, 23)])
+    def test_is_attained(self, r20, speed, height):
+        a = planted_base(r20, speed, True)
+        assert measure_stabilization(a) == stabilization_bound(a) == height
 
     def test_rejects_out_of_domain(self):
         for a in (0, 1, 10):
