@@ -170,14 +170,11 @@ def _verify_base(a: int, max_b: int, budget: int) -> tuple[int, list[dict]]:
         if not ok:
             failures.append({"a": str(a), "check": name, "expected": str(expected), "got": str(got)})
 
-    exact = speed.speed_exact(a).speed
-    by100 = speed.speed_mod100(a).speed
-    by20 = speed.speed_mod20(a).speed
     seq = oracle.speed_sequence(a, max(oracle._certified_height(a) + 1, max_b), budget)
     measured = seq.speed
-    check("speed: exact vs oracle", exact == measured, measured, exact)
-    check("speed: mod-100 map vs oracle", by100 == measured, measured, by100)
-    check("speed: mod-20 map vs oracle", by20 == measured, measured, by20)
+    for name, row in (("exact", speed.speed_exact(a)), ("mod-100 map", speed.speed_mod100(a)),
+                      ("mod-20 map", speed.speed_mod20(a))):
+        check(f"speed: {name} vs oracle", row.speed == measured, measured, f"{row.speed} ({row.rule})")
     check("tier", speed.classify_tier(a) == speed.tier_of(measured), speed.tier_of(measured), speed.classify_tier(a))
     if a >= 2:
         bound = stability.stabilization_bound(a)

@@ -2,13 +2,15 @@
 
 For bases sharing a factor with 10 the count has an exact linear form in the
 height.  For coprime bases the paper pins it between two linear forms at most
-V(a)+1 apart (stable_bounds); stable_count answers exactly from the oracle's
-certified run instead: measured below the stabilization height, and linear
-with slope V(a) from it on.
+V(a)+1 apart (stable_bounds).  stable_count, its inverse min_height and
+stable_shape read the oracle's certified run n instead, n(L) + (b-L)V past its
+top height L.  That is exact: L = _certified_height(a) + 1 lies past the
+stabilization height bbar, from which every count already rises by V.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from decimal import Context, Decimal
 from enum import Enum
@@ -115,16 +117,16 @@ def stable_shape(a: int, budget: int = DEFAULT_BUDGET) -> StableShape:
     """Measured linear shape of the count at stabilized heights.
 
     The shape is the candidate form that matches the measured count at the
-    stabilization height bbar; from there every count rises by V, as every
-    form does.  On {3,7} mod 20 it is checked against the paper's rule:
+    run's top height L; from bbar on every count rises by V, as every form
+    does.  On {3,7} mod 20 it is checked against the paper's rule:
     (b-1)V exactly when V(a,2) equals V(a), and bV+1 otherwise.  For speed 1
     the forms bV+1 and (b+1)V coincide; bV+1 is reported.
     """
     if a < 3 or a % 2 == 0 or a % 5 == 0:
         raise ValueError("defined for a >= 3 coprime to 10")
     seq = certified_sequence(a, budget)
-    bbar, v = seq.stabilized_at, seq.speed
-    shape = next((s for s in StableShape if s.count_at(bbar, v) == seq.frozen_prefix[bbar - 1]), None)
+    top, v = len(seq.frozen_prefix), seq.speed
+    shape = next((s for s in StableShape if s.count_at(top, v) == seq.frozen_prefix[-1]), None)
     if shape is None:
         raise InvariantError(f"no linear shape matches measured counts for a={a}")
     rule = StableShape.B_MINUS_1_V if seq.entries[1] == v else StableShape.B_V_PLUS_1
@@ -134,8 +136,8 @@ def stable_shape(a: int, budget: int = DEFAULT_BUDGET) -> StableShape:
 
 
 def stable_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> StableCount:
-    """Exact count: a class formula, or the oracle's certified run, measured
-    below the stabilization height bbar and n(bbar) + (b-bbar)V from it on."""
+    """Exact count: a class formula, or the oracle's certified run n, measured
+    up to its top height L and n(L) + (b-L)V above; bbar names the formula."""
     if a < 0 or b < 1:
         raise ValueError("need a >= 0 and b >= 1")
     _check_budget(budget)
@@ -151,11 +153,11 @@ def stable_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> StableCount:
         except FormulaRangeError:
             return StableCount.exact(stable_digit_count(a, b, budget), "oracle (below formula range)")
     seq = certified_sequence(a, budget)
-    bbar = seq.stabilized_at
-    if b < bbar:
-        return StableCount.exact(seq.frozen_prefix[b - 1], "oracle prefix (b < bbar)")
-    tail = seq.frozen_prefix[bbar - 1] + (b - bbar) * seq.speed
-    return StableCount.exact(tail, "stabilized tail: n(bbar) + (b-bbar)V")
+    n, top = seq.frozen_prefix, len(seq.frozen_prefix)
+    value = n[b - 1] if b <= top else n[-1] + (b - top) * seq.speed
+    if b < seq.stabilized_at:
+        return StableCount.exact(value, "oracle prefix (b < bbar)")
+    return StableCount.exact(value, "stabilized tail: n(bbar) + (b-bbar)V")
 
 
 def _certified_digit_count(a: int, e: int) -> int:
@@ -196,7 +198,9 @@ def stable_ratio(a: int, b: int, budget: int = DEFAULT_BUDGET) -> Fraction:
 
 
 def min_height(a: int, target: int, budget: int = DEFAULT_BUDGET) -> HeightPlan:
-    """Least height whose tower carries at least `target` stable digits."""
+    """Least height whose tower carries at least `target` stable digits: the
+    inverse of stable_count's rule, exact past the run's top height L because
+    every count from the stabilization height bbar on rises by V."""
     if a < 2 or a % 10 == 0:
         raise ValueError("defined for a >= 2 not a multiple of 10")
     if target < 0:
@@ -205,13 +209,10 @@ def min_height(a: int, target: int, budget: int = DEFAULT_BUDGET) -> HeightPlan:
     if target == 0:
         return HeightPlan(target=0, height=1)
     seq = certified_sequence(a, budget)
-    bbar = seq.stabilized_at
-    v = seq.speed
-    for b, n in enumerate(seq.frozen_prefix[:bbar], start=1):
-        if n >= target:
-            return HeightPlan(target=target, height=b)
-    shortfall = target - seq.frozen_prefix[bbar - 1]
-    return HeightPlan(target=target, height=bbar + (shortfall + v - 1) // v)
+    n, v = seq.frozen_prefix, seq.speed
+    if target <= n[-1]:
+        return HeightPlan(target=target, height=bisect_left(n, target) + 1)
+    return HeightPlan(target=target, height=len(n) + (target - n[-1] + v - 1) // v)
 
 
 def stabilization_bound(a: int) -> int:
@@ -220,7 +221,8 @@ def stabilization_bound(a: int) -> int:
     speed_bound(a)+2 on the classes whose second step can overshoot the
     constant speed ({3,7} mod 20, {2,18} mod 20 and 6 mod 10), and
     speed_bound(a)+1 elsewhere; the base 5 is the lone +2 exception in its
-    class.
+    class.  The bound is attained: planted_base(7, 10, True) and (3, 10, True)
+    from tests/support.py stabilize at 13, and planted_base(7, 20, True) at 23.
     """
     if a < 2 or a % 10 == 0:
         raise ValueError("defined for a >= 2 not a multiple of 10")

@@ -236,7 +236,8 @@ class TestVerifyCommand:
             assert message in capsys.readouterr().err
 
     def test_a_failing_scan_exits_one_and_keeps_every_failure(self, capsys, monkeypatch):
-        # a mod-20 map off by one; speed_exact hands its non-coprime bases to it too
+        # a mod-20 map off by one; speed_exact hands its non-coprime bases to it too,
+        # so both failures there name the same row's rule
         real = speed.speed_mod20
         monkeypatch.setattr(speed, "speed_mod20", lambda a: real(a)._replace(speed=real(a).speed + 1))
         expected = []
@@ -244,8 +245,9 @@ class TestVerifyCommand:
             if a % 10 == 0:
                 continue
             v = oracle.certified_sequence(a).speed
+            got = f"{v + 1} ({real(a).rule})"
             checks = ["speed: mod-20 map vs oracle"] + (["speed: exact vs oracle"] if a % 2 == 0 or a % 5 == 0 else [])
-            expected += [{"a": str(a), "check": c, "expected": str(v), "got": str(v + 1)} for c in sorted(checks)]
+            expected += [{"a": str(a), "check": c, "expected": str(v), "got": got} for c in sorted(checks)]
         assert len(expected) > 20
         code, report, _ = run_json(capsys, "verify", "--range", "2..40")
         assert code == 1

@@ -55,6 +55,21 @@ def test_no_function_keeps_a_process_wide_cache():
     assert found == []
 
 
+def test_the_stabilization_height_only_names_a_count_formula():
+    # stable_count, min_height and stable_shape read the certified run's top count
+    # and slope; stabilized_at only picks stable_count's label, and min_height scans no prefix
+    reads, loops = [], []
+    for func in ast.parse((SRC / "stability.py").read_text()).body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr == "stabilized_at":
+                    reads.append(func.name)
+                if func.name == "min_height" and isinstance(node, (ast.For, ast.While, ast.comprehension)):
+                    loops.append(node.lineno)
+    assert reads == ["stable_count"]
+    assert loops == []
+
+
 def test_only_main_emits_a_cli_report():
     # the commands return (inputs, result, lines); main alone prints, serializes and writes
     emitters = {"print", "open", "json.dumps", "json.dump"}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tetrastable import oracle
 from tetrastable.arith import InvariantError, NeedsLargerBudget, _no_str_digits_limit, decimal_length
-from tetrastable.oracle import certified_sequence, measure_stabilization, stable_digit_count
+from tetrastable.oracle import certified_sequence, measure_stabilization, speed_sequence, stable_digit_count
 from tetrastable.speed import speed_exact
 from tetrastable.stability import (
     FormulaRangeError,
@@ -221,6 +221,31 @@ class TestStableCountAgreesWithMinHeight:
         for a in range(3, 401):
             if a % 2 and a % 5:
                 check_count_agrees_with_min_height(a)
+
+
+def check_tail_past_the_run(a: int) -> None:
+    """Past the certified run's top height L, stable_count equals a run
+    measured to L+3, and min_height(a, t) is the least height of that run
+    for every t from n(L)+1 to n(L)+2V+1."""
+    seq = certified_sequence(a)
+    top, v = len(seq.frozen_prefix), seq.speed
+    longer = speed_sequence(a, top + 3).frozen_prefix
+    assert [stable_count(a, b).value for b in range(1, top + 4)] == longer, a
+    for target in range(longer[top - 1] + 1, longer[top - 1] + 2 * v + 2):
+        least = next(b for b, n in enumerate(longer, 1) if n >= target)
+        assert min_height(a, target).height == least, (a, target)
+
+
+class TestTailPastTheRun:
+    @pytest.mark.parametrize("five", [True, False])
+    @pytest.mark.parametrize("r20", sorted(CLASS_LABEL))
+    def test_planted_bases(self, r20, five):
+        check_tail_past_the_run(planted_base(r20, 10, five))
+
+    def test_small_coprime_bases(self):
+        for a in range(3, 401):
+            if a % 2 and a % 5:
+                check_tail_past_the_run(a)
 
 
 class TestStableRatio:
