@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arith import DEFAULT_BUDGET, InvariantError, NeedsLargerBudget, _no_str_digits_limit
@@ -212,10 +213,11 @@ def _verify_chunk(chunk: tuple[int, int, int, int]) -> tuple[int, int, list[dict
 
 def cmd_verify(args) -> tuple[dict, dict, list[str]]:
     lo, hi = args.range
-    chunk_size = max(64, (hi - lo + 1) // (8 * args.workers) + 1)
+    workers = min(args.workers, os.cpu_count() or 1)  # the report is the same for any count
+    chunk_size = max(64, (hi - lo + 1) // (8 * workers) + 1)
     chunks = [(start, min(start + chunk_size - 1, hi), args.max_b, args.budget)
               for start in range(lo, hi + 1, chunk_size)]
-    workers = min(args.workers, len(chunks))
+    workers = min(workers, len(chunks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

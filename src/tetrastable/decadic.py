@@ -21,7 +21,10 @@ arith._crt recombines:
 
 Every solution of y^5 = y in the 10-adic integers is an integer combination
 c1 + ce*e5 + ct*t2; the table below lists all fifteen, indexed by their last
-two digits.  Such a combination is c1 + ce mod 2^n and c1 + ct*y mod 5^n, so
+two digits.  Their fifteen residues mod 20 differ, since mod 4 each is 0
+or +-1 (its 2-adic root) and mod 5 it is 0 or a distinct Teichmueller lift
+(its 5-adic root), so speed reads a coprime base's constant off a mod 20.
+Such a combination is c1 + ce mod 2^n and c1 + ct*y mod 5^n, so
 alpha_value builds any of them, e5 (alpha_25) and t2 (alpha_32) included,
 with one CRT, and lifts y only when ct is not 0.  Nothing is computed at
 import.  Note the combination for alpha_51 is 1 - 2*e5 (its printed tail

@@ -8,16 +8,24 @@ verification harness scans all three against the modular tower oracle.
 
 The valuations the rules name are the slopes of the tower walk
 (arith._slope), w2 = v2(a^2 - 1) - 1 and w5 = v5(a^4 - 1), by lifting the
-exponent.  At 5, a^4 - 1 = (a - 1)(a + 1)(a^2 + 1) has one factor that is
-not a unit: w5 is v5(a - 1), v5(a + 1) or v5(a^2 + 1) as a == 1, 4, or 2
-or 3 (mod 5).  At 2, for odd a, one of a -/+ 1 is 2 (mod 4): w2 is
-v2(a - 1) when a == 1 (mod 4) and v2(a + 1) when a == 3.  So speed_bound
-(in arith) is w5, or w2 when 5 divides a; the rows of _COPRIME_RULES name
-the factors that match a mod 20, so the mod-20 split is the least slope at
-a prime not dividing a, and the key-digit map tells which one that is.
-Each row is a label and the names of its valuations, and _VALUATIONS
+exponent.  At 2, for odd a, one of a -/+ 1 is 2 (mod 4): w2 is v2(a - 1)
+when a == 1 (mod 4) and v2(a + 1) when a == 3.  At 5, a^4 - 1 =
+(a - 1)(a + 1)(a^2 + 1) has one factor that is not a unit: w5 is v5(a - 1),
+v5(a^2 + 1), v5(a^2 + 1) or v5(a + 1) as a == 1, 2, 3 or 4 (mod 5).  So
+speed_bound (in arith) is w5, or w2 when 5 divides a, and _names reads the
+mod-20 split off a mod 4 and a mod 5: V(a) is the least slope at a prime
+not dividing a, and for a coprime base the key-digit map tells which one.
+Each rule is a label and the names of its valuations, and _VALUATIONS
 computes what each name says; v5(a^2 + 1) is read as w5 and
 v2(a^2 - 1) - 1 as w2, so a long base is never squared.
+
+speed_exact compares a coprime base with the solution alpha of y^5 = y
+that is a mod 20.  Each solution is 0 or +-1 mod 4 (its 2-adic root) and 0
+or a Teichmueller lift mod 5 (its 5-adic root), so the fifteen have fifteen
+residues mod 20 and the eight units fill the coprime classes.  2-adically
+a - alpha is the a -/+ 1 that w2 names; 5-adically it is the one factor
+a - z of a^4 - 1 = prod(a - z : z^4 = 1) that is not a unit, so its v5 is
+w5.
 """
 from __future__ import annotations
 
@@ -25,19 +33,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .arith import _slope, _v2, _v5, speed_bound  # speed_bound: bench/ and tests/ import it from here
-from .decadic import AlphaTag, key_digit
-
-# mod-20 residue of the base -> the constant its digits are compared against
-TAG_BY_MOD20 = {
-    1: AlphaTag(0, 1),
-    11: AlphaTag(5, 1),
-    3: AlphaTag(4, 3),
-    13: AlphaTag(9, 3),
-    7: AlphaTag(0, 7),
-    17: AlphaTag(5, 7),
-    9: AlphaTag(4, 9),
-    19: AlphaTag(9, 9),
-}
+from .decadic import ALPHA_TAGS, key_digit
 
 # valuation name -> its value; v5(a^2+1) is only named at a == 2, 3 (mod 5)
 _VALUATIONS = {
@@ -47,18 +43,6 @@ _VALUATIONS = {
     "v5(a+1)": lambda a: _v5(a + 1),
     "v5(a^2+1)": lambda a: _slope(a, 5),
     "v2(a^2-1)-1": lambda a: _slope(a, 2),
-}
-
-# mod-20 residue -> (2-adic rule, 5-adic rule)
-_COPRIME_RULES = {
-    1: ("v2(a-1)", "v5(a-1)"),
-    11: ("v2(a+1)", "v5(a-1)"),
-    3: ("v2(a+1)", "v5(a^2+1)"),
-    13: ("v2(a-1)", "v5(a^2+1)"),
-    7: ("v2(a+1)", "v5(a^2+1)"),
-    17: ("v2(a-1)", "v5(a^2+1)"),
-    9: ("v2(a-1)", "v5(a+1)"),
-    19: ("v2(a+1)", "v5(a+1)"),
 }
 
 
@@ -80,6 +64,14 @@ def tier_of(speed: int | None) -> Tier:
     if speed >= 3:
         return Tier.V3_PLUS
     return {0: Tier.V0, 1: Tier.V1, 2: Tier.V2}[speed]
+
+
+def _names(a: int) -> tuple[str, ...]:
+    """The valuations whose least is V(a) for odd a: a mod 4 picks w2's, a mod 5 w5's."""
+    two = "v2(a-1)" if a % 4 == 1 else "v2(a+1)"
+    if a % 5 == 0:
+        return (two,)
+    return two, ("v5(a-1)", "v5(a^2+1)", "v5(a^2+1)", "v5(a+1)")[a % 5 - 1]
 
 
 def _rule(a: int, label: str, *names: str) -> SpeedResult:
@@ -126,12 +118,7 @@ def speed_mod20(a: int) -> SpeedResult:
     rows, which this split does not refine, for the other bases."""
     if a < 2 or a % 2 == 0:
         return speed_mod100(a)
-    r20 = a % 20
-    if r20 == 5:
-        return _rule(a, "mod20=5", "v2(a-1)")
-    if r20 == 15:
-        return _rule(a, "mod20=15", "v2(a+1)")
-    return _rule(a, f"mod20={r20}", *_COPRIME_RULES[r20])
+    return _rule(a, f"mod20={a % 20}", *_names(a))
 
 
 def speed_exact(a: int) -> SpeedResult:
@@ -143,9 +130,9 @@ def speed_exact(a: int) -> SpeedResult:
     if a < 2 or a % 2 == 0 or a % 5 == 0:
         return speed_mod20(a)
     r20 = a % 20
-    tag = TAG_BY_MOD20[r20]
+    tag = next(t for t in ALPHA_TAGS if (10 * t.x2 + t.x1) % 20 == r20)
     report = key_digit(a, tag)
-    two_rule, five_rule = _COPRIME_RULES[r20]
+    two_rule, five_rule = _names(a)
     if abs(report.diff) == 5:
         return _rule(a, f"mod20={r20}, l={report.l}, |s_l-{tag}[l]|=5", two_rule)
     return _rule(a, f"mod20={r20}, l={report.l}, |s_l-{tag}[l]|={abs(report.diff)}!=5", five_rule)

@@ -257,6 +257,22 @@ def crt_fifth_power_root(label: str, n: int) -> int:
 # coprime residue mod 20 -> the tag of the solution of y^5 = y its digits follow
 CLASS_LABEL = {1: "01", 11: "51", 3: "43", 13: "93", 7: "07", 17: "57", 9: "49", 19: "99"}
 
+# odd residue mod 20 -> the valuations whose least is V(a), from the paper's
+# mod-20 split: v2 of the a -/+ 1 that is 0 mod 4, then v5 of the factor of
+# a^4 - 1 that is 0 mod 5 (none when 5 divides a)
+CLASS_RULES = {
+    1: ("v2(a-1)", "v5(a-1)"),
+    3: ("v2(a+1)", "v5(a^2+1)"),
+    5: ("v2(a-1)",),
+    7: ("v2(a+1)", "v5(a^2+1)"),
+    9: ("v2(a-1)", "v5(a+1)"),
+    11: ("v2(a+1)", "v5(a-1)"),
+    13: ("v2(a-1)", "v5(a^2+1)"),
+    15: ("v2(a+1)",),
+    17: ("v2(a-1)", "v5(a^2+1)"),
+    19: ("v2(a+1)", "v5(a+1)"),
+}
+
 
 def plant(r20: int, length: int, five: bool) -> int:
     """The class constant of a coprime residue mod 20 truncated to `length`

@@ -217,6 +217,34 @@ class TestVerifyCommand:
         _, two, _ = run_json(capsys, "verify", "--range", "2..80", "--max-b", "4", "--workers", "2")
         assert one == two
 
+    @pytest.mark.parametrize("cpus,workers,hi,pools", [(4, "100000", 10**9, [4]), (2, "2", 80, [2]), (None, "8", 80, [])])
+    def test_the_pool_is_capped_at_the_cpu_count(self, capsys, monkeypatch, cpus, workers, hi, pools):
+        # a stand-in records the pool size and answers every chunk at once, so no process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return [(0, 0, []) for _ in chunks]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, report, _ = run_json(capsys, "verify", "--range", f"2..{hi}", "--max-b", "4", "--workers", workers)
+        assert code == 0 and sizes == pools
+        if not pools:  # one CPU, or an unknown count: the range runs in this process
+            _, serial, _ = run_json(capsys, "verify", "--range", "2..80", "--max-b", "4")
+            assert report == serial
+
     def test_uncertified_stabilization_is_a_failed_check(self, monkeypatch):
         real = oracle.speed_sequence
 

@@ -98,6 +98,15 @@ class TestAlphaDigits:
         assert len(ALPHA_TAGS) == 15
         assert {t.label for t in ALPHA_TAGS} == set(PRINTED_ALPHA)
 
+    @pytest.mark.parametrize("n", [2, 3, 40, 777])
+    def test_fifteen_distinct_residues_mod_twenty(self, n):
+        # each solution is its label mod 20, as 100 is 0 mod 20: 0 or +-1 mod 4 and
+        # 0 or a Teichmueller lift mod 5; speed reads a coprime base's constant off a mod 20
+        residues = [alpha_value(tag, n) % 20 for tag in ALPHA_TAGS]
+        assert residues == [int(tag.label) % 20 for tag in ALPHA_TAGS]
+        assert residues == [int(PRINTED_ALPHA[tag.label]) % 20 for tag in ALPHA_TAGS]
+        assert len(set(residues)) == 15 and {r % 4 for r in residues} == {0, 1, 3}
+
     @pytest.mark.parametrize("x2,x1", [(1, 2), (5, 5), (9, 8), (0, 3)])
     def test_rejects_unknown_tags(self, x2, x1):
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ def test_each_speed_rule_text_is_written_once():
     # a map that would restate another map's row hands the base to it instead.
     # A row is SpeedResult(speed, "text") or _rule(a, label, *names), named by
     # its text or label (an f-string label by its source).
-    rows, names = [], {name for pair in speed._COPRIME_RULES.values() for name in pair}
+    rows, names = [], {name for r20 in range(1, 20, 2) for name in speed._names(r20)}
     for node in ast.walk(ast.parse((SRC / "speed.py").read_text())):
         func = getattr(node, "func", None)
         if getattr(func, "id", None) == "SpeedResult":
@@ -38,7 +38,7 @@ def test_each_speed_rule_text_is_written_once():
             rows.append(label.value if isinstance(label, ast.Constant) else ast.unparse(label))
             names |= {arg.value for arg in named if isinstance(arg, ast.Constant)}
     assert sorted(r for r in set(rows) if rows.count(r) > 1) == []
-    assert len(rows) == 18  # 13 rows in speed_mod100, 3 in speed_mod20 and 2 in speed_exact
+    assert len(rows) == 16  # 13 rows in speed_mod100, 1 in speed_mod20 and 2 in speed_exact
     assert names == set(speed._VALUATIONS)  # every name a rule prints is computed, and no other
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tetrastable import arith, oracle
 from tetrastable.arith import InvariantError, TowerNotRepresentable, _exp_terms, tower_value_capped
-from tetrastable.decadic import alpha_value
+from tetrastable.decadic import AlphaTag, alpha_value
 from tetrastable.oracle import (
     NeedsLargerBudget,
     _counts_at_precision,
@@ -19,10 +19,11 @@ from tetrastable.oracle import (
     speed_sequence,
     stable_digit_count,
 )
-from tetrastable.speed import TAG_BY_MOD20, speed_bound, speed_exact, speed_mod20
+from tetrastable.speed import speed_bound, speed_exact, speed_mod20
 from tetrastable.stability import stable_shape
 
 from support import (
+    CLASS_LABEL,
     brute_stable_count,
     exact_tower,
     lambda_tower_mod,
@@ -270,8 +271,15 @@ def _crt(r2: int, m2: int, r5: int, m5: int) -> int:
 # yet the valuation of D_1 * log(a^4)/4 passes the gate, so only the check
 # that 4 divides D keeps the walk off exp at 5 (a^D is not <a>^D there)
 _TWO_MOD_FOUR = [_crt(2, 4, pow(r, 5**11, 5**12), 5**12) for r in (2, 3)]
+
+
+def class_constant(r20: int, n: int) -> int:
+    """The last n digits of the 10-adic constant of coprime class r20 mod 20."""
+    return alpha_value(AlphaTag.from_label(CLASS_LABEL[r20]), n)
+
+
 # agreeing with a 10-adic constant in many digits: high valuations at both primes
-_PLANTED = [alpha_value(TAG_BY_MOD20[r], 20) + 10**20 * (r + 2) for r in (1, 7, 9, 13)]
+_PLANTED = [class_constant(r, 20) + 10**20 * (r + 2) for r in (1, 7, 9, 13)]
 
 
 class TestExpWalk:
@@ -317,7 +325,7 @@ class TestExpWalk:
         rng = random.Random(6)
         cases = [(a, 12, 64) for a in range(2, 301)]
         cases += [(a, h, n) for a in (3, 7, 13, 99, 163574218751) for h, n in ((40, 128), (70, 128), (9, 256))]
-        cases += [(alpha_value(TAG_BY_MOD20[r], k), speed_bound(alpha_value(TAG_BY_MOD20[r], k)) + 3, n)
+        cases += [(class_constant(r, k), speed_bound(class_constant(r, k)) + 3, n)
                   for r in (3, 7, 9, 11, 13, 17, 19) for k, n in ((6, 64), (8, 128), (12, 512))]
         cases += [(rng.randrange(10**29, 10**30), 8, 64) for _ in range(20)]
         cases += [(rng.randrange(10**99999, 10**100000), 8, 64)]
@@ -360,7 +368,7 @@ class TestPlantedHighSpeed:
 
     @pytest.mark.parametrize("speed", [30, 40])
     @pytest.mark.parametrize("five", [True, False])
-    @pytest.mark.parametrize("r20", sorted(TAG_BY_MOD20))
+    @pytest.mark.parametrize("r20", sorted(CLASS_LABEL))
     def test_certified_speed_matches_closed_forms(self, r20, five, speed):
         a = planted_base(r20, speed, five)
         condition, rule = speed_exact(a).rule.split(": ")
@@ -463,7 +471,7 @@ class TestStartingPrecision:
         # the tall-towers stream: 6-14-digit truncations at heights up to speed_bound + 12
         precisions = passes_run(monkeypatch)
         for length in (6, 8, 10, 14):
-            a = alpha_value(TAG_BY_MOD20[r20], length)
+            a = class_constant(r20, length)
             sb = speed_bound(a)
             heights = range(1, sb + 13) if length <= 8 else (1, 2, sb + 3, sb + 8, sb + 12)
             starts = self.check(precisions, a, heights)

@@ -8,12 +8,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tetrastable.arith import _slope
-from tetrastable.decadic import alpha_value
+from tetrastable.decadic import AlphaTag, alpha_value
 from tetrastable.oracle import certified_sequence
 from tetrastable.speed import (
     C_COMPLEMENT,
     Q_COMPLEMENT,
-    TAG_BY_MOD20,
     Tier,
     classify_tier,
     speed_bound,
@@ -23,7 +22,7 @@ from tetrastable.speed import (
     tier_of,
 )
 
-from support import naive_slopes, naive_valuation, planted_base
+from support import CLASS_LABEL, CLASS_RULES, naive_slopes, naive_valuation, planted_base
 
 valid_bases = st.integers(2, 10**6).filter(lambda a: a % 10 != 0)
 
@@ -72,6 +71,22 @@ class TestClosedFormMaps:
         assert "v2(a-1)" in speed_exact(501).rule
         assert "alpha_51" in speed_exact(51).rule
         assert "undefined" in speed_exact(30).rule
+
+    @pytest.mark.parametrize("r20", sorted(CLASS_RULES))
+    def test_each_odd_class_names_the_papers_valuations(self, r20):
+        # the mod-20 row names the class's valuations; the exact map compares the
+        # base with its class constant and names the 2-adic one when |s_l - alpha[l]| = 5
+        names = CLASS_RULES[r20]
+        text = names[0] if len(names) == 1 else f"min({', '.join(names)})"
+        a = 20 * 10**30 + r20
+        assert speed_mod20(a).rule == f"mod20={r20}: {text}"
+        if r20 not in CLASS_LABEL:
+            assert speed_exact(a) == speed_mod20(a)
+            return
+        for five in (True, False):
+            label, name = speed_exact(planted_base(r20, 10, five)).rule.split(": ")
+            assert f"|s_l-alpha_{CLASS_LABEL[r20]}[l]|" in label
+            assert name == names[0 if five else 1]
 
     @given(a=st.integers(0, 10**6))
     @example(a=6907922943)
@@ -157,7 +172,7 @@ def long_bases() -> list[int]:
         bases += [root + 5**k * rng.randrange(1, 10**40) for _ in range(3)]
         bases += [1 + 2 ** (k + 2) * rng.randrange(1, 10**40) for _ in range(3)]
         bases += [2 ** (k + 2) * rng.randrange(1, 10**40) - 1 for _ in range(3)]
-    bases += [alpha_value(tag, 60) + 10**61 for tag in TAG_BY_MOD20.values()]
+    bases += [alpha_value(tag, 60) + 10**61 for tag in map(AlphaTag.from_label, CLASS_LABEL.values())]
     return [a for a in bases if a % 10]
 
 
@@ -206,7 +221,7 @@ class TestSlopes:
         rng = random.Random(16)
         bases = [a for a in range(2, 20001) if a % 10]
         bases += [a for a in (rng.randrange(10**49, 10**50) for _ in range(3400)) if a % 10][:3000]
-        bases += [planted_base(r20, v, five) for r20 in TAG_BY_MOD20 for v in (30, 60) for five in (True, False)]
+        bases += [planted_base(r20, v, five) for r20 in CLASS_LABEL for v in (30, 60) for five in (True, False)]
         assert len(bases) == 17999 + 3000 + 32
         for a in bases:
             w2, w5 = naive_slopes(a)
@@ -214,7 +229,7 @@ class TestSlopes:
             assert speed_mod20(a).speed == min(w for w in (w2, w5) if w is not None), a
 
     def test_a_capped_read_is_infinite_exactly_above_the_cap(self):
-        bases = long_bases() + [planted_base(r20, 60, five) for r20 in TAG_BY_MOD20 for five in (True, False)]
+        bases = long_bases() + [planted_base(r20, 60, five) for r20 in CLASS_LABEL for five in (True, False)]
         for a in bases:
             want = naive_slopes(a)
             assert slopes(a) == want, a
