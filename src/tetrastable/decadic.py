@@ -1,34 +1,30 @@
 """The fifteen 10-adic solutions of y^5 = y and key-digit location.
 
-Two primitive limits generate everything:
+A solution is fixed by its 2-adic root and its 5-adic root, which
+arith._crt joins modulo 10^n.  Over the 2-adic integers y^5 = y has the
+roots 0, 1 and -1; over the 5-adic integers, 0 and the Teichmueller lifts
+1, y, -y and -1 of 1..4 mod 5, with y the root of y^4 = 1 that is 2 mod 5.
+Each root is its own residue mod 4 or mod 5, so the fifteen solutions have
+the fifteen residues r mod 20 with r != 2 (mod 4), and _root(r, n) reads
+the 2-adic root off r mod 4 and the 5-adic one off r mod 5, each taken
+nearest 0 (+-2 mod 5 stands for +-y).  Their last two digits, the tags,
+are computed at import (one CRT each at n = 2, 13 us for all fifteen);
+deeper digits only when asked for.  A coprime base is a unit mod 20, so
+speed reads its constant off a mod 20.
 
-    e5 = lim 5^(2^k)   (the nontrivial idempotent, tail ...890625)
-    t2 = lim 2^(5^k)   (tail ...186432)
+y is found by Newton's step y -> y - y*(y^4 - 1)/4 from y = 2, which
+doubles the digits each time: y stands for y^-3, which it equals wherever
+y^4 = 1, and the derivative 4y^3 is a unit mod 5, so by Hensel's lemma the
+root is unique mod every 5^j.  Only the six solutions that are 2 or 3 mod 5
+need it.  Two solutions are the limits
 
-Modulo 10^n each is fixed by its residues modulo 2^n and 5^n, which
-arith._crt recombines:
+    e5 = lim 5^(2^k)   (r = 5, tail ...890625)
+    t2 = lim 2^(5^k)   (r = 12, tail ...186432)
 
-* e5 is 1 mod 2^n and 0 mod 5^n.  Once 2^k >= n, 5^(2^k) is 0 mod 5^n; once
-  k >= n-2 it is 1 mod 2^n, because the order of 5 modulo 2^n divides
-  2^max(n-2, 0).  So the sequence is constant mod 10^n from there on.
-* t2 is 0 mod 2^n, and mod 5^n it is the root y of y^4 = 1 that is 2 mod 5,
-  the Teichmueller lift of 2.  Once 5^k >= n, 2^(5^k) is 0 mod 2^n.
-  Mod 5^(k+1), x = 2^(5^k) has x^4 = 2^(4*5^k) = 1 (Euler) and x = 2 mod 5
-  (Fermat).  The derivative 4y^3 of y^4 - 1 is a unit mod 5, so by Hensel's
-  lemma that root is unique mod every 5^j, and x is it mod 5^(k+1).
-  Newton's step y -> y - y*(y^4 - 1)/4 finds it: y stands for y^-3, which
-  it equals wherever y^4 = 1, so each step doubles the digits.
-
-Every solution of y^5 = y in the 10-adic integers is an integer combination
-c1 + ce*e5 + ct*t2; the table below lists all fifteen, indexed by their last
-two digits.  Their fifteen residues mod 20 differ, since mod 4 each is 0
-or +-1 (its 2-adic root) and mod 5 it is 0 or a distinct Teichmueller lift
-(its 5-adic root), so speed reads a coprime base's constant off a mod 20.
-Such a combination is c1 + ce mod 2^n and c1 + ct*y mod 5^n, so
-alpha_value builds any of them, e5 (alpha_25) and t2 (alpha_32) included,
-with one CRT, and lifts y only when ct is not 0.  Nothing is computed at
-import.  Note the combination for alpha_51 is 1 - 2*e5 (its printed tail
-...218751 confirms this; 1 - 2*t2 does not solve y^5 = y).
+e5 is 0 mod 5^n once 2^k >= n, and 1 mod 2^n once k >= n-2, as the order
+of 5 modulo 2^n divides 2^max(n-2, 0).  t2 is 0 mod 2^n once 5^k >= n, and
+x = 2^(5^k) has x^4 = 1 (Euler) and x = 2 mod 5 (Fermat) mod 5^(k+1), so it
+is y there.
 
 A base agrees with a constant in its last j digits exactly when 10^j divides
 their difference, so key_digit reads the first disagreement off a valuation.
@@ -39,24 +35,27 @@ from collections import namedtuple
 
 from .arith import _crt, _no_str_digits_limit, _v2, _v5, digit
 
-# (x2, x1) -> coefficients (c1, ce, ct) with alpha = c1 + ce*e5 + ct*t2
-_COMBINATIONS = {
-    (0, 0): (0, 0, 0),
-    (0, 1): (1, 0, 0),
-    (5, 1): (1, -2, 0),
-    (3, 2): (0, 0, 1),
-    (9, 3): (0, 1, -1),
-    (4, 3): (0, -1, -1),
-    (2, 4): (-1, 1, 0),
-    (2, 5): (0, 1, 0),
-    (7, 5): (0, -1, 0),
-    (7, 6): (1, -1, 0),
-    (0, 7): (0, -1, 1),
-    (5, 7): (0, 1, 1),
-    (6, 8): (0, 0, -1),
-    (4, 9): (-1, 2, 0),
-    (9, 9): (-1, 0, 0),
-}
+
+def _centered(r: int, m: int) -> int:
+    """The residue of r mod m nearest 0."""
+    return (r + m // 2) % m - m // 2
+
+
+def _root(r: int, n: int) -> int:
+    """The solution of y^5 = y that is r mod 20 (r != 2 mod 4), modulo 10^n."""
+    five = _centered(r, 5)
+    if abs(five) == 2:  # r == 2, 3 (mod 5): the root is +-y
+        y, k = 2, 1
+        while k < n:
+            k = min(2 * k, n)
+            m = 5**k
+            y = (y - y * (pow(y, 4, m) - 1) * pow(4, -1, m)) % m
+        five = five // 2 * y
+    return _crt(_centered(r, 4), five, n)
+
+
+# (x2, x1) -> the residue mod 20 of the solution ending in x2x1
+_RESIDUE = {divmod(_root(r, 2), 10): r for r in range(20) if r % 4 != 2}
 
 
 class AlphaTag(namedtuple("AlphaTag", "x2 x1")):
@@ -65,7 +64,7 @@ class AlphaTag(namedtuple("AlphaTag", "x2 x1")):
     __slots__ = ()
 
     def __new__(cls, x2: int, x1: int) -> "AlphaTag":
-        if (x2, x1) not in _COMBINATIONS:
+        if (x2, x1) not in _RESIDUE:
             raise ValueError(f"no 10-adic solution of y^5=y ends in ...{x2}{x1}")
         return super().__new__(cls, x2, x1)
 
@@ -87,7 +86,9 @@ class AlphaTag(namedtuple("AlphaTag", "x2 x1")):
         return f"alpha_{self.label}"
 
 
-ALPHA_TAGS = tuple(AlphaTag(x2, x1) for (x2, x1) in sorted(_COMBINATIONS, key=lambda t: (t[1], t[0])))
+ALPHA_TAGS = tuple(AlphaTag(x2, x1) for (x2, x1) in sorted(_RESIDUE, key=lambda t: (t[1], t[0])))
+# residue mod 20 -> the tag of the solution that is congruent to it
+_TAG_MOD20 = {_RESIDUE[tag]: tag for tag in ALPHA_TAGS}
 
 
 class AlphaDigits(namedtuple("AlphaDigits", "tag n digits")):
@@ -126,15 +127,7 @@ def two_tower_t2(n: int) -> str:
 def alpha_value(tag: AlphaTag, n: int) -> int:
     if n < 1:
         raise ValueError("depth must be >= 1")
-    c1, ce, ct = _COMBINATIONS[tag]
-    y = 0
-    if ct:  # Newton for y^4 = 1 from y = 2 (mod 5); y^-3 = y wherever y^4 = 1
-        y, k = 2, 1
-        while k < n:
-            k = min(2 * k, n)
-            m = 5**k
-            y = (y - y * (pow(y, 4, m) - 1) * pow(4, -1, m)) % m
-    return _crt(c1 + ce, c1 + ct * y, n)
+    return _root(_RESIDUE[tag], n)
 
 
 def alpha_digits(tag: AlphaTag, n: int) -> AlphaDigits:
@@ -155,16 +148,15 @@ def key_digit(a: int, tag: AlphaTag) -> KeyDigitReport:
     The base is read with implied leading zeros, so when a agrees with the
     constant through its full length the search continues until one of the
     implied zeros meets a nonzero digit of the constant.  At 2 the constant
-    is the integer c1 + ce, one of -1, 0, 1, so v2 of the difference is
-    v2(a - c1 - ce), finite for a >= 2.  v5 is read at depths k = 32, 64, ...
+    is its 2-adic root, one of -1, 0, 1, so v2 of the difference is
+    v2(a - root), finite for a >= 2.  v5 is read at depths k = 32, 64, ...
     until it falls below k or k passes v2; then l = min(v2, v5) + 1 <= k.
     """
     if a < 2:
         raise ValueError("base must be >= 2")
     if a % 10 != tag.x1:
         raise ValueError(f"base ends in {a % 10}, {tag} ends in {tag.x1}")
-    c1, ce, _ = _COMBINATIONS[tag]
-    v2 = _v2(a - c1 - ce)
+    v2 = _v2(a - _centered(_RESIDUE[tag], 4))
     k = 32
     while True:
         alpha = alpha_value(tag, k)

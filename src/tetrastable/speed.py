@@ -20,12 +20,10 @@ computes what each name says; v5(a^2 + 1) is read as w5 and
 v2(a^2 - 1) - 1 as w2, so a long base is never squared.
 
 speed_exact compares a coprime base with the solution alpha of y^5 = y
-that is a mod 20.  Each solution is 0 or +-1 mod 4 (its 2-adic root) and 0
-or a Teichmueller lift mod 5 (its 5-adic root), so the fifteen have fifteen
-residues mod 20 and the eight units fill the coprime classes.  2-adically
-a - alpha is the a -/+ 1 that w2 names; 5-adically it is the one factor
-a - z of a^4 - 1 = prod(a - z : z^4 = 1) that is not a unit, so its v5 is
-w5.
+that is a mod 20 (decadic derives the fifteen from their roots mod 4 and
+mod 5).  2-adically a - alpha is the a -/+ 1 that w2 names; 5-adically it
+is the one factor a - z of a^4 - 1 = prod(a - z : z^4 = 1) that is not a
+unit, so its v5 is w5.
 """
 from __future__ import annotations
 
@@ -33,7 +31,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .arith import _slope, _v2, _v5, speed_bound  # speed_bound: bench/ and tests/ import it from here
-from .decadic import ALPHA_TAGS, key_digit
+from .decadic import _TAG_MOD20, key_digit
 
 # valuation name -> its value; v5(a^2+1) is only named at a == 2, 3 (mod 5)
 _VALUATIONS = {
@@ -130,7 +128,7 @@ def speed_exact(a: int) -> SpeedResult:
     if a < 2 or a % 2 == 0 or a % 5 == 0:
         return speed_mod20(a)
     r20 = a % 20
-    tag = next(t for t in ALPHA_TAGS if (10 * t.x2 + t.x1) % 20 == r20)
+    tag = _TAG_MOD20[r20]
     report = key_digit(a, tag)
     two_rule, five_rule = _names(a)
     if abs(report.diff) == 5:
@@ -138,28 +136,26 @@ def speed_exact(a: int) -> SpeedResult:
     return _rule(a, f"mod20={r20}, l={report.l}, |s_l-{tag}[l]|={abs(report.diff)}!=5", five_rule)
 
 
-# residues mod 25 with V(a) = 1, and the mod-1000 residues with V(a) >= 3
-# among bases whose mod-25 residue lies in {1, 7, 18, 24}
-C_COMPLEMENT = frozenset({2, 3, 4, 6, 8, 9, 11, 12, 13, 14, 16, 17, 19, 21, 22, 23})
-Q_COMPLEMENT = frozenset(
-    {1, 57, 68, 124, 126, 182, 193, 249, 318, 374, 376, 432, 568,
-     624, 626, 682, 751, 807, 818, 874, 876, 932, 943, 999}
-)
-
-
 def classify_tier(a: int) -> Tier:
-    """Tier of V(a) in {0, 1, 2, >=3} from residues mod 25 / 40 / 1000."""
+    """Tier of V(a) in {0, 1, 2, >=3} from a mod 25, 125 and 8.
+
+    V(a) is w5 for even a, w2 for odd multiples of 5 and min(w2, w5) for a
+    coprime to 10 (the maps above).  By Fermat 5 divides a^4 - 1, so w5 = 1
+    exactly when a^4 != 1 (mod 25), and w5 >= 3 exactly when a^4 == 1
+    (mod 125).  An odd square is 1 mod 8, so w2 = v2(a^2 - 1) - 1 >= 2, and
+    w2 = 2 exactly when a^2 != 1 (mod 16), that is a == +-3 (mod 8).  So
+    V = 1 iff 5 does not divide a and a^4 != 1 (mod 25); V >= 3 iff a^4 == 1
+    (mod 125), or 5 divides a, and also a == +-1 (mod 8) when a is odd.
+    """
     if a < 1:
         raise ValueError("base must be >= 1")
     if a % 10 == 0:
         return Tier.UNDEFINED
     if a == 1:
         return Tier.V0
-    if a % 25 in C_COMPLEMENT:
+    r = a % 1000  # 1000 = 8 * 125: each test below reads r, never the long base
+    if r % 5 and pow(r, 4, 25) != 1:
         return Tier.V1
-    r40 = a % 40
-    if r40 in (5, 35):
-        return Tier.V2
-    if r40 in (15, 25) or a % 1000 in Q_COMPLEMENT:
+    if (r % 5 == 0 or pow(r, 4, 125) == 1) and (r % 2 == 0 or r % 8 in (1, 7)):
         return Tier.V3_PLUS
     return Tier.V2

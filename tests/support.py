@@ -1,7 +1,7 @@
 """Shared frozen expectations and independent oracles for the test suite.
 
-Nothing here goes through the production tower evaluator or the combination
-table: valuations are naive division loops, towers are exact integers, and
+Nothing here goes through the production tower evaluator or the package's
+roots: valuations are naive division loops, towers are exact integers, and
 the fifth-power fixed points are enumerated by branch-and-prune lifting,
 iterated to a fixed point, or built by the CRT from their 2-adic and 5-adic
 roots.
@@ -272,6 +272,32 @@ CLASS_RULES = {
     17: ("v2(a-1)", "v5(a^2+1)"),
     19: ("v2(a+1)", "v5(a+1)"),
 }
+
+
+# The tier theorem's residue sets: V(a) = 1 on the residues mod 25 in
+# C_COMPLEMENT, and V(a) >= 3 on those mod 1000 in Q_COMPLEMENT among the
+# other bases prime to 5; on odd multiples of 5, V(a) = 2 on 5 and 35 mod 40.
+C_COMPLEMENT = frozenset({2, 3, 4, 6, 8, 9, 11, 12, 13, 14, 16, 17, 19, 21, 22, 23})
+Q_COMPLEMENT = frozenset(
+    {1, 57, 68, 124, 126, 182, 193, 249, 318, 374, 376, 432, 568,
+     624, 626, 682, 751, 807, 818, 874, 876, 932, 943, 999}
+)
+
+
+def reference_tier(a: int) -> str:
+    """The tier of V(a) ("V=0", "V=1", "V=2", "V>=3" or "undefined") from the
+    written-out residue sets, for a >= 1."""
+    if a % 10 == 0:
+        return "undefined"
+    if a == 1:
+        return "V=0"
+    if a % 25 in C_COMPLEMENT:
+        return "V=1"
+    if a % 40 in (5, 35):
+        return "V=2"
+    if a % 40 in (15, 25) or a % 1000 in Q_COMPLEMENT:
+        return "V>=3"
+    return "V=2"
 
 
 def plant(r20: int, length: int, five: bool) -> int:

@@ -112,6 +112,22 @@ class TestAlphaDigits:
         with pytest.raises(ValueError):
             AlphaTag(x2, x1)
 
+    def test_accepts_exactly_the_fifteen_digit_pairs(self):
+        accepted = set()
+        for x2 in range(10):
+            for x1 in range(10):
+                try:
+                    accepted.add(AlphaTag(x2, x1).label)
+                except ValueError:
+                    pass
+        assert accepted == set(PRINTED_ALPHA)
+
+    @pytest.mark.parametrize("x2,x1", [(0, 43), (4, 13), (-1, 53), (10, 1)])
+    def test_rejects_pairs_that_are_not_two_digits(self, x2, x1):
+        # a map keyed by 10*x2 + x1 would take (0, 43) and (-1, 53) for alpha_43
+        with pytest.raises(ValueError, match=rf"\.\.\.{x2}{x1}$"):
+            AlphaTag(x2, x1)
+
     @given(tag=tags, n=st.integers(1, 150))
     def test_fifth_power_fixed_point(self, tag, n):
         v = alpha_value(tag, n)

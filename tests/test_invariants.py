@@ -42,6 +42,27 @@ def test_each_speed_rule_text_is_written_once():
     assert names == set(speed._VALUATIONS)  # every name a rule prints is computed, and no other
 
 
+def test_no_residue_table_in_the_constants_or_the_closed_forms():
+    # decadic derives the fifteen solutions and speed the tiers from a residue's
+    # roots mod 4 and mod 5; a dict or set display of more than 6 integers (or
+    # integer tuples) would restate that by hand
+    def is_integral(node):
+        try:
+            value = ast.literal_eval(node)
+        except ValueError:
+            return False
+        items = value if isinstance(value, tuple) else (value,)
+        return all(type(x) is int for x in items)
+
+    found = []
+    for name in ("decadic.py", "speed.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            items = node.keys if isinstance(node, ast.Dict) else node.elts if isinstance(node, ast.Set) else []
+            if sum(item is not None and is_integral(item) for item in items) > 6:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_function_keeps_a_process_wide_cache():
     # a cache must come with a workload that shows its traffic
     found = []

@@ -11,8 +11,6 @@ from tetrastable.arith import _slope
 from tetrastable.decadic import AlphaTag, alpha_value
 from tetrastable.oracle import certified_sequence
 from tetrastable.speed import (
-    C_COMPLEMENT,
-    Q_COMPLEMENT,
     Tier,
     classify_tier,
     speed_bound,
@@ -22,7 +20,16 @@ from tetrastable.speed import (
     tier_of,
 )
 
-from support import CLASS_LABEL, CLASS_RULES, naive_slopes, naive_valuation, planted_base
+from support import (
+    C_COMPLEMENT,
+    CLASS_LABEL,
+    CLASS_RULES,
+    Q_COMPLEMENT,
+    naive_slopes,
+    naive_valuation,
+    planted_base,
+    reference_tier,
+)
 
 valid_bases = st.integers(2, 10**6).filter(lambda a: a % 10 != 0)
 
@@ -134,8 +141,13 @@ class TestTier:
             classify_tier(0)
 
     def test_the_two_residue_sets(self):
+        # the tier theorem's sets, written out in support: 1..2000 covers every
+        # class mod 40 and mod 1000, and the 60-digit bases are long ones
         assert len(C_COMPLEMENT) == 16
         assert len(Q_COMPLEMENT) == 24
+        rng = random.Random(25)
+        bases = [*range(1, 2001), *(rng.randrange(10**59, 10**60) for _ in range(2000))]
+        assert [classify_tier(a).value for a in bases] == [reference_tier(a) for a in bases]
 
     @given(a=st.integers(1, 10**6))
     @example(a=1001)  # mod-1000 residue 1 with a != 1
