@@ -329,6 +329,36 @@ def speed_bound(a: int) -> int:
     return _slope(a, 5 if a % 5 else 2)
 
 
+def _difference_valuation(a: int, b: int, cap: int | float = INFINITY) -> int | float:
+    """v10(D_b), D_b = T_b - T_(b-1) with T_0 = 1, for a >= 2 not a multiple
+    of 10: exact when at most cap, INFINITY above.  D_1 = a - 1 and
+    D_(b+1) = T_b*(a^D_b - 1), so at each prime p:
+
+    * p does not divide a.  By the lifting-the-exponent lemma, with the slope
+      w_p of _slope, v_p(a^D - 1) = v_p(D) + w_p when 2^k divides D, and at 5
+      it is 0 otherwise; k = 1 at 2, and at 5 ord_5(a) = 2^k, k = 0, 1, 2 as
+      a == 1, 4, +-2 (mod 5) (a^ord - 1 has the valuation of a^4 - 1).
+      v_2(D_b) never falls: from v_2(a - 1) it rises by w_2 when a is odd, and
+      runs 0, v_2(a), T_(b-2)*v_2(a) >= 2 when a is even.  So v_p(D_b) =
+      v_p(a - 1) + max(0, b - c)*w_p, with c = 1 at 2 and, at 5, c <= 3 the
+      first height whose v_2(D) reaches k; below it v_5(D_b) = 0 = v_5(a - 1).
+    * p divides a.  a^D - 1 is a unit at p, so v_p(D_1) = 0 and
+      v_p(D_b) = v_p(T_(b-1)) = T_(b-2)*v_p(a), read up to the other prime's
+      value, as only the least of the two is needed.
+    """
+    w2, w5 = _slope(a, 2, cap), _slope(a, 5, cap)
+    k = {1: 0, 4: 1}.get(a % 5, 2)  # ord_5(a) = 2^k
+    c5 = 1 if _v2(a - 1) >= k else 2 if (_v2(a - 1) + w2 if a % 2 else _v2(a)) >= k else 3
+    lines = [v0 + (b - c) * w if b > c else v0
+             for v0, c, w in ((_v2(a - 1), 1, w2), (_v5(a - 1), c5, w5)) if w is not None]
+    v = min(lines)
+    if len(lines) == 1:  # at the prime that divides a
+        vp = _v2(a) if w2 is None else _v5(a)
+        t = tower_value_capped(a, b - 2, min(v, cap) // vp) if b > 1 else 0
+        v = v if t is None else min(v, t * vp)
+    return v if v <= cap else INFINITY
+
+
 # the least valuation of D * log at which the exp series beats pow(): at
 # valuation 1 it has about 4n/3 terms at 5 and costs as much as pow()
 _EXP_GATE = 2

@@ -115,7 +115,7 @@ def cmd_sequence(args) -> tuple[dict, dict, list[str]]:
 def cmd_stable(args) -> tuple[dict, dict, list[str]]:
     from . import stability
 
-    count = stability.stable_count(args.a, args.b, args.budget)
+    count = stability.stable_count(args.a, args.b)
     result = {
         "kind": count.kind,
         "value": count.value,
@@ -131,7 +131,7 @@ def cmd_stable(args) -> tuple[dict, dict, list[str]]:
 def cmd_ratio(args) -> tuple[dict, dict, list[str]]:
     from . import stability
 
-    ratio = stability.stable_ratio(args.a, args.b, args.budget)
+    ratio = stability.stable_ratio(args.a, args.b)
     result = {"numerator": ratio.numerator, "denominator": ratio.denominator, "ratio": float(ratio)}
     lines = [f"stable digit ratio at height {args.b}: {ratio} ({float(ratio):.6f})"]
     return {"a": str(args.a), "b": args.b}, result, lines
@@ -140,7 +140,7 @@ def cmd_ratio(args) -> tuple[dict, dict, list[str]]:
 def cmd_min_height(args) -> tuple[dict, dict, list[str]]:
     from . import stability
 
-    plan = stability.min_height(args.a, args.target, args.budget)
+    plan = stability.min_height(args.a, args.target)
     lines = [f"least height with >= {args.target} stable digits: {plan.height}"]
     return {"a": str(args.a), "target": args.target}, {"target": plan.target, "height": plan.height}, lines
 
@@ -265,19 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stable", help="stable digits of the height-b tower")
     p.add_argument("a", type=_nonneg_int)
     p.add_argument("b", type=_positive_int)
-    add_common(p, budget=True)
+    add_common(p, budget=False)
     p.set_defaults(func=cmd_stable)
 
     p = sub.add_parser("ratio", help="stable digits as a fraction of the tower's length")
     p.add_argument("a", type=_nonneg_int)
     p.add_argument("b", type=_positive_int)
-    add_common(p, budget=True)
+    add_common(p, budget=False)
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("min-height", help="least height reaching a target stable-digit count")
     p.add_argument("a", type=_nonneg_int)
     p.add_argument("target", type=_nonneg_int)
-    add_common(p, budget=True)
+    add_common(p, budget=False)
     p.set_defaults(func=cmd_min_height)
 
     p = sub.add_parser("classify", help="tier of the constant congruence speed")

@@ -6,8 +6,8 @@ length (a short tower cannot freeze more digits than it has: the height-2
 tower of 5 agrees with all taller towers modulo 10^5, but 3125 only has four
 digits, so four digits are stable).  Every count is measured, never
 predicted; the closed forms elsewhere are validated against this module.
-The walk's slopes (arith._slope) decide only which precision is tried
-first and from which height a measured speed is certified constant.
+The valuation lines (arith._difference_valuation) decide only which precision
+a run takes, and speed_bound from which height a speed is certified constant.
 """
 from __future__ import annotations
 
@@ -15,11 +15,10 @@ from collections import namedtuple
 
 from .arith import (
     DEFAULT_BUDGET,
-    INFINITY,
     InvariantError,
     NeedsLargerBudget,
     TowerNotRepresentable,
-    _slope,
+    _difference_valuation,
     _tower_of,
     _tower_walk,
     _v10,
@@ -82,34 +81,13 @@ def _check_budget(budget: int) -> None:
 
 
 def _stable_counts(a: int, heights: int, budget: int) -> list[int]:
-    """Counts for b = 1..H, H = heights, from the first pass of the ladder
-    n = 64, 128, 256, ... (at most budget) whose counts all stay below n.
-
-    A pass at n fails exactly when both v_p(D_(b+1)) >= n for some b <= H,
-    where D_b = T_b - T_(b-1) and T_0 = 1.  So the ladder starts at its least
-    value above a floor that is proved to be at most v_p(D_(H+1)) at both
-    primes: every pass at or below the floor would fail, and skipping them
-    changes no count.  At each prime p:
-
-    * p does not divide a.  Take q = 4 at 5 and 2 at 2, and the slope
-      w_p = v_p(a^q - 1) - v_p(q) (arith._slope).  D_(b+1) = T_b*(a^D_b - 1)
-      with T_b a unit at p, and by the lifting-the-exponent lemma
-      v_p(a^D - 1) = v_p(D) + w_p whenever q divides D.  Once q divides D_c,
-      it divides every later D: at 2, v_2 rises by w_2 >= 2; at 5, 4 | D_b
-      makes 4 | D_(b+1) as well, by the same rise when a is odd, and when a
-      is even because v_2(D_(b+1)) = v_2(T_b) = T_(b-1)*v_2(a) >= 2 (b >= 2;
-      D_1 = a - 1 is odd).  So v_p(D_(H+1)) >= (H + 1 - c)*w_p.  The first
-      such height c is 1 at 2 (D_1 = a - 1 is even) and, at 5, 1 when
-      a == 1 (mod 4), 2 when a == 3 (v_2(D_2) = w_2 + v_2(a - 1)) or 0
-      (v_2(D_2) = v_2(a)), and 3 when a == 2 (v_2(D_3) = v_2(T_2) = a).
-    * p divides a.  a^D_H - 1 is then a unit at p, so
-      v_p(D_(H+1)) = v_p(T_H) = T_(H-1)*v_p(a) >= T_(H-1).
-
-    The slopes are read once, exact up to budget: one above reads as
-    infinite, and so may the floor.  A floor at or above the last ladder
-    value within budget fails every pass, so NeedsLargerBudget is raised at
-    once, on the same inputs as by doubling from 64.  The floor only decides
-    which passes run: every count is read off a pass that certifies it.
+    """Counts for b = 1..H, H = heights, from one pass at the least ladder
+    value n = 64, 128, 256, ... above the floor v10(D_(H+1)), D_b = T_b -
+    T_(b-1) (arith._difference_valuation).  A pass at n fails exactly when
+    v10(D_(b+1)) >= n for some b <= H, and v10(D_b) never falls in b, so with
+    the floor exact that pass certifies every count; a failed one is an
+    InvariantError.  Read exact up to budget and infinite above, the floor
+    raises NeedsLargerBudget before any pass, as doubling from 64 would.
     """
     _check_budget(budget)
     if a == 0:
@@ -118,22 +96,16 @@ def _stable_counts(a: int, heights: int, budget: int) -> list[int]:
         return [1] * heights
     if a % 10 == 0:
         return [_trailing_zero_count(a, b) for b in range(1, heights + 1)]
-    floor = INFINITY
-    for w, c in ((_slope(a, 2, budget), 1), (_slope(a, 5, budget), (2, 1, 3, 2)[a % 4])):
-        if w is None:
-            t = tower_value_capped(a, heights - 1, budget)
-            floor = min(floor, budget if t is None else t)
-        else:
-            floor = min(floor, (heights + 1 - c) * w if heights >= c else 0)
+    floor = _difference_valuation(a, heights + 1, budget)
     ndigits = _START_DIGITS
     while ndigits <= min(floor, budget):
         ndigits *= 2
-    while ndigits <= budget:
-        counts = _counts_at_precision(a, heights, ndigits)
-        if counts is not None:
-            return counts
-        ndigits *= 2
-    raise NeedsLargerBudget(a, heights, budget)
+    if ndigits > budget:
+        raise NeedsLargerBudget(a, heights, budget)
+    counts = _counts_at_precision(a, heights, ndigits)
+    if counts is None:
+        raise InvariantError(f"the {ndigits}-digit pass for {a} to height {heights} failed above its floor {floor}")
+    return counts
 
 
 def stable_digit_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> int:

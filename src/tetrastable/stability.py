@@ -2,10 +2,10 @@
 
 For bases sharing a factor with 10 the count has an exact linear form in the
 height.  For coprime bases the paper pins it between two linear forms at most
-V(a)+1 apart (stable_bounds).  stable_count, its inverse min_height and
-stable_shape read the oracle's certified run n instead, n(L) + (b-L)V past its
-top height L.  That is exact: L = _certified_height(a) + 1 lies past the
-stabilization height bbar, from which every count already rises by V.
+V(a)+1 apart (stable_bounds).  stable_count, its inverse min_height,
+stable_shape and stable_ratio read the exact count instead (_count): two
+valuation lines in b (arith._difference_valuation) capped at the length of
+the tower, a few integer operations at any height, with no oracle run.
 """
 from __future__ import annotations
 
@@ -17,10 +17,10 @@ from enum import Enum
 from fractions import Fraction
 
 from .arith import (
-    DEFAULT_BUDGET, InvariantError, TowerNotRepresentable, _tower_of, decimal_length, speed_bound,
+    InvariantError, TowerNotRepresentable, _difference_valuation, _tower_of, decimal_length, speed_bound,
     tower_value_capped,
 )
-from .oracle import _check_budget, certified_sequence, stable_digit_count
+from .oracle import _certified_height, stable_digit_count
 from .speed import speed_exact
 
 
@@ -69,7 +69,7 @@ def stable_exact(a: int, b: int) -> StableCount:
     """Exact count for bases in the classes {2,4,5,6,8} mod 10.
 
     Raises FormulaRangeError when b is below the stated range of the class
-    formula (callers fall back to the oracle there).
+    formula (stable_count reads the valuation lines there).
     """
     if b < 1:
         raise ValueError("height starts at 1")
@@ -113,51 +113,64 @@ def stable_bounds(a: int, b: int) -> StableCount:
     return StableCount.bounded(b * v, (b + 1) * v, "coprime: [bV, (b+1)V]")
 
 
-def stable_shape(a: int, budget: int = DEFAULT_BUDGET) -> StableShape:
-    """Measured linear shape of the count at stabilized heights.
+def _count(a: int, b: int) -> int:
+    """Stable digits of the height-b tower of a >= 2 not a multiple of 10:
+    n = v10(T_(b+1) - T_b), capped at the length of T_b = a^e, which exceeds
+    n once e > 4n (a^e >= 2^e > 10^(e/4))."""
+    n = _difference_valuation(a, b + 1)
+    e = tower_value_capped(a, b - 1, 4 * n)
+    return n if e is None else min(n, _certified_digit_count(a, e))
 
-    The shape is the candidate form that matches the measured count at the
-    run's top height L; from bbar on every count rises by V, as every form
-    does.  On {3,7} mod 20 it is checked against the paper's rule:
-    (b-1)V exactly when V(a,2) equals V(a), and bV+1 otherwise.  For speed 1
-    the forms bV+1 and (b+1)V coincide; bV+1 is reported.
-    """
+
+def _step(a: int, b: int) -> int:
+    """V(a, b): the rise of the count at height b."""
+    return _count(a, b) - (_count(a, b - 1) if b > 1 else 0)
+
+
+def stable_shape(a: int) -> StableShape:
+    """Linear shape of the count at stabilized heights: the candidate form
+    that matches the count at L = _certified_height(a) + 1, past bbar, from
+    which every count rises by V, as every form does.  On {3,7} mod 20 it is
+    checked against the paper's rule: (b-1)V exactly when V(a,2) equals V(a),
+    and bV+1 otherwise.  For speed 1 the forms bV+1 and (b+1)V coincide;
+    bV+1 is reported."""
     if a < 3 or a % 2 == 0 or a % 5 == 0:
         raise ValueError("defined for a >= 3 coprime to 10")
-    seq = certified_sequence(a, budget)
-    top, v = len(seq.frozen_prefix), seq.speed
-    shape = next((s for s in StableShape if s.count_at(top, v) == seq.frozen_prefix[-1]), None)
+    top = _certified_height(a) + 1
+    v = _step(a, top)
+    shape = next((s for s in StableShape if s.count_at(top, v) == _count(a, top)), None)
     if shape is None:
         raise InvariantError(f"no linear shape matches measured counts for a={a}")
-    rule = StableShape.B_MINUS_1_V if seq.entries[1] == v else StableShape.B_V_PLUS_1
+    rule = StableShape.B_MINUS_1_V if _step(a, 2) == v else StableShape.B_V_PLUS_1
     if a % 20 in (3, 7) and shape is not rule:
         raise InvariantError(f"shape rule disagrees with measured counts for a={a}")
     return shape
 
 
-def stable_count(a: int, b: int, budget: int = DEFAULT_BUDGET) -> StableCount:
-    """Exact count: a class formula, or the oracle's certified run n, measured
-    up to its top height L and n(L) + (b-L)V above; bbar names the formula."""
+def stable_count(a: int, b: int) -> StableCount:
+    """Exact count: a class formula, or the valuation lines (_count).
+
+    From height 3 on a coprime count is the least of two lines with slopes at
+    least V (T_b is too long for its length to bind), so its steps from
+    height 4 on never rise or fall below V: b is at or past bbar, which names
+    the formula, when the steps at heights b..max(b, 4) all equal V.
+    """
     if a < 0 or b < 1:
         raise ValueError("need a >= 0 and b >= 1")
-    _check_budget(budget)
     if a == 0:
         return StableCount.exact(0, "a=0: no stable digits")
     if a == 1:
         return StableCount.exact(1, "a=1: the single digit")
     if a % 10 == 0:
-        return StableCount.exact(stable_digit_count(a, b, budget), "multiple of 10: trailing zeros")
+        return StableCount.exact(stable_digit_count(a, b), "multiple of 10: trailing zeros")
     if a % 10 in (2, 4, 5, 6, 8):
         try:
             return stable_exact(a, b)
         except FormulaRangeError:
-            return StableCount.exact(stable_digit_count(a, b, budget), "oracle (below formula range)")
-    seq = certified_sequence(a, budget)
-    n, top = seq.frozen_prefix, len(seq.frozen_prefix)
-    value = n[b - 1] if b <= top else n[-1] + (b - top) * seq.speed
-    if b < seq.stabilized_at:
-        return StableCount.exact(value, "oracle prefix (b < bbar)")
-    return StableCount.exact(value, "stabilized tail: n(bbar) + (b-bbar)V")
+            return StableCount.exact(_count(a, b), "valuation lines (below formula range)")
+    v = _step(a, _certified_height(a) + 1)
+    past = all(_step(a, j) == v for j in range(b, max(b, 4) + 1))
+    return StableCount.exact(_count(a, b), "stabilized tail: n(bbar) + (b-bbar)V" if past else "valuation lines (b < bbar)")
 
 
 def _certified_digit_count(a: int, e: int) -> int:
@@ -180,39 +193,34 @@ def _certified_digit_count(a: int, e: int) -> int:
     raise TowerNotRepresentable("could not certify the digit count")
 
 
-def stable_ratio(a: int, b: int, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Fraction of the height-b tower's digits that are stable: the oracle's
-    measured count over the tower's certified digit count.  The tower has at
-    most 10^18 digits, so b <= 5 for every a >= 2."""
+def stable_ratio(a: int, b: int) -> Fraction:
+    """Fraction of the height-b tower's digits that are stable: the exact
+    count over the tower's certified digit count.  The tower has at most
+    10^18 digits, so b <= 5 for every a >= 2."""
     if a < 1 or a % 10 == 0:
         raise ValueError("defined for a >= 1 not a multiple of 10")
     if b < 1:
         raise ValueError("height starts at 1")
-    _check_budget(budget)
     if a == 1:
         return Fraction(1, 1)
     e = tower_value_capped(a, b - 1, 10**18)
     if e is None:
         raise TowerNotRepresentable(f"{_tower_of(a, b)} has too many digits to count")
-    return Fraction(stable_digit_count(a, b, budget), _certified_digit_count(a, e))
+    return Fraction(_count(a, b), _certified_digit_count(a, e))
 
 
-def min_height(a: int, target: int, budget: int = DEFAULT_BUDGET) -> HeightPlan:
-    """Least height whose tower carries at least `target` stable digits: the
-    inverse of stable_count's rule, exact past the run's top height L because
-    every count from the stabilization height bbar on rises by V."""
+def min_height(a: int, target: int) -> HeightPlan:
+    """Least height with `target` stable digits: the counts never fall, so a
+    bisection up to L = _certified_height(a) + 1, past which each rises by V."""
     if a < 2 or a % 10 == 0:
         raise ValueError("defined for a >= 2 not a multiple of 10")
     if target < 0:
         raise ValueError("target must be nonnegative")
-    _check_budget(budget)
-    if target == 0:
-        return HeightPlan(target=0, height=1)
-    seq = certified_sequence(a, budget)
-    n, v = seq.frozen_prefix, seq.speed
-    if target <= n[-1]:
-        return HeightPlan(target=target, height=bisect_left(n, target) + 1)
-    return HeightPlan(target=target, height=len(n) + (target - n[-1] + v - 1) // v)
+    top = _certified_height(a) + 1
+    over = target - _count(a, top)
+    if over > 0:
+        return HeightPlan(target=target, height=top - (-over // _step(a, top)))
+    return HeightPlan(target=target, height=bisect_left(range(1, top + 1), target, key=lambda b: _count(a, b)) + 1)
 
 
 def stabilization_bound(a: int) -> int:

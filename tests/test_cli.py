@@ -85,12 +85,14 @@ class TestSequenceCommand:
 
 class TestOptions:
     def test_budget_belongs_to_the_oracle_commands(self, capsys):
-        for argv in (("alpha", "51", "10"), ("speed", "51"), ("classify", "51")):
+        # stable, ratio and min-height read the valuation lines and run no oracle pass
+        for argv in (("alpha", "51", "10"), ("speed", "51"), ("classify", "51"), ("stable", "5", "3"),
+                     ("ratio", "2", "4"), ("min-height", "4", "7")):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "--budget", "64"])
             assert exc.value.code == 2, argv
-        assert "--budget" in capsys.readouterr().err
-        for argv in (("stable", "5", "3"), ("ratio", "2", "4"), ("min-height", "4", "7"), ("verify", "--range", "2..3")):
+            assert "--budget" in capsys.readouterr().err, argv
+        for argv in (("sequence", "5", "--max-b", "3"), ("verify", "--range", "2..3")):
             assert run(capsys, *argv, "--budget", "64")[0] == 0, argv
 
     def test_unwritable_out_path_exits_two(self, capsys, tmp_path):
@@ -113,11 +115,24 @@ class TestSmallCommands:
         code, report, _ = run_json(capsys, "stable", "163574218751", "4")
         assert code == 0
         assert report["result"] == {"kind": "exact", "value": 61, "lower": 61, "upper": 61,
-                                    "formula": "oracle prefix (b < bbar)"}
+                                    "formula": "valuation lines (b < bbar)"}
         bracket = stable_bounds(163574218751, 4)
         assert bracket.lower <= 61 <= bracket.upper
         code, out, _ = run(capsys, "stable", "163574218751", "4")
         assert out.splitlines()[0] == "stable digits of the height-4 tower of 163574218751: 61"
+
+    def test_stable_and_min_height_answer_past_the_budget(self, capsys):
+        # 10^90 + 1 has speed 90: its certified run to height 93 needs more
+        # than 8,192 digits, but a count at height 2 is two valuation lines
+        a = str(10**90 + 1)
+        code, report, _ = run_json(capsys, "sequence", a, "--max-b", "2")
+        assert (code, report["result"]["cumulative"]) == (0, [91, 270])
+        code, report, _ = run_json(capsys, "stable", a, "2")
+        assert (code, report["result"]["value"]) == (0, 270)
+        code, report, _ = run_json(capsys, "min-height", a, "50")
+        assert (code, report["result"]["height"]) == (0, 1)
+        code, report, _ = run_json(capsys, "min-height", "7", str(10**20))
+        assert (code, report["result"]["height"]) == (0, 5 * 10**19 + 1)
 
     def test_unrepresentable_multiple_of_ten_names_the_requested_height(self, capsys):
         code, _, err = run(capsys, "stable", "10", "5")

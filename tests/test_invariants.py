@@ -76,18 +76,18 @@ def test_no_function_keeps_a_process_wide_cache():
     assert found == []
 
 
-def test_the_stabilization_height_only_names_a_count_formula():
-    # stable_count, min_height and stable_shape read the certified run's top count
-    # and slope; stabilized_at only picks stable_count's label, and min_height scans no prefix
-    reads, loops = [], []
+def test_stability_runs_no_oracle_and_takes_no_budget():
+    # every count in stability comes from the valuation lines (_count), so it
+    # names no oracle run and no digit budget, and min_height bisects the counts
+    names, loops = set(), []
     for func in ast.parse((SRC / "stability.py").read_text()).body:
-        if isinstance(func, ast.FunctionDef):
-            for node in ast.walk(func):
-                if isinstance(node, ast.Attribute) and node.attr == "stabilized_at":
-                    reads.append(func.name)
-                if func.name == "min_height" and isinstance(node, (ast.For, ast.While, ast.comprehension)):
-                    loops.append(node.lineno)
-    assert reads == ["stable_count"]
+        for node in ast.walk(func):
+            names |= {getattr(node, field) for field in ("id", "attr", "arg", "name", "asname")
+                      if isinstance(getattr(node, field, None), str)}
+            if getattr(func, "name", None) == "min_height" and isinstance(node, (ast.For, ast.While, ast.comprehension)):
+                loops.append(node.lineno)
+    banned = {"certified_sequence", "speed_sequence", "_stable_counts"}
+    assert sorted(n for n in names if n in banned or "budget" in n.lower()) == []
     assert loops == []
 
 

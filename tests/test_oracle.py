@@ -20,7 +20,6 @@ from tetrastable.oracle import (
     stable_digit_count,
 )
 from tetrastable.speed import speed_bound, speed_exact, speed_mod20
-from tetrastable.stability import stable_shape
 
 from support import (
     CLASS_LABEL,
@@ -167,9 +166,8 @@ class TestStabilization:
             return real(a, max_b, budget)._replace(stabilized_at=reported(max_b))
 
         monkeypatch.setattr(oracle, "speed_sequence", broken)
-        for call in (certified_sequence, stable_shape):  # stable_shape would index past the run
-            with pytest.raises(InvariantError, match=r"^stabilization of 7 not certified by height 4, got (None|5)$"):
-                call(7)
+        with pytest.raises(InvariantError, match=r"^stabilization of 7 not certified by height 4, got (None|5)$"):
+            certified_sequence(7)
 
     @pytest.mark.parametrize("call, a", [(measure_stabilization, 0), (certified_sequence, -1), (certified_sequence, 30)])
     def test_rejects_bases_without_a_speed(self, call, a):
@@ -423,8 +421,8 @@ def doubling_reference(a: int, heights: int) -> tuple[int, list[int]]:
 
 
 class TestStartingPrecision:
-    """The oracle starts above a proved floor: never past the precision where
-    doubling from 64 certifies, and with the same counts."""
+    """The oracle's floor is exact: it runs one pass, at the precision where
+    doubling from 64 first certifies, with the same counts."""
 
     def check(self, precisions: list[int], a: int, heights) -> list[int]:
         starts = []
@@ -432,7 +430,7 @@ class TestStartingPrecision:
             precisions.clear()
             counts = speed_sequence(a, h).frozen_prefix
             n, want = doubling_reference(a, h)
-            assert precisions[0] <= n and counts == want, (a, h, precisions, n)
+            assert precisions == [n] and counts == want, (a, h, precisions, n)
             starts.append(precisions[0])
         return starts
 
@@ -515,3 +513,12 @@ class TestBudget:
         with pytest.raises(NeedsLargerBudget, match=f"height-8 tower of 163574218751 exceed the {budget}-digit budget"):
             speed_sequence(163574218751, 8, budget=budget)
         assert speed_sequence(163574218751, 8, budget=128).frozen_prefix == [12, 31, 46, 61, 76, 91, 104, 117]
+
+    def test_a_floor_below_the_counts_is_a_failed_check(self, monkeypatch):
+        # the floor is exact, so the one pass it picks must certify: at 64
+        # digits the height-8 count of 163574218751 (117) does not fit
+        monkeypatch.setattr(oracle, "_difference_valuation", lambda a, b, cap: 0)
+        precisions = passes_run(monkeypatch)
+        with pytest.raises(InvariantError, match="^the 64-digit pass for 163574218751 to height 8 failed"):
+            speed_sequence(163574218751, 8)
+        assert precisions == [64]

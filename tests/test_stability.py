@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tetrastable import oracle
-from tetrastable.arith import InvariantError, NeedsLargerBudget, _no_str_digits_limit, decimal_length
-from tetrastable.oracle import certified_sequence, measure_stabilization, speed_sequence, stable_digit_count
+from tetrastable import stability
+from tetrastable.arith import DEFAULT_BUDGET, InvariantError, _no_str_digits_limit, decimal_length
+from tetrastable.oracle import (
+    _certified_height, certified_sequence, measure_stabilization, speed_sequence, stable_digit_count,
+)
 from tetrastable.speed import speed_exact
 from tetrastable.stability import (
     FormulaRangeError,
@@ -120,15 +122,11 @@ class TestStableShape:
                 assert shape.count_at(b, v) == seq.frozen_prefix[b - 1]
 
     def test_the_paper_rule_on_3_and_7_mod_20_is_checked(self, monkeypatch):
-        # 807 (V = 3, V(a,2) = 4, stabilized at 6) has shape bV+1; a V(a,2) equal
-        # to V(a) makes the rule say (b-1)V while the counts stay as measured
-        real = oracle.speed_sequence
-
-        def second_step_at_speed(a, max_b, budget):
-            seq = real(a, max_b, budget)
-            return seq._replace(entries=[seq.entries[0], seq.speed, *seq.entries[2:]])
-
-        monkeypatch.setattr(oracle, "speed_sequence", second_step_at_speed)
+        # 807 (V = 3, V(a,2) = 4, stabilized at 6) has shape bV+1; one more digit
+        # at height 1 makes V(a,2) equal V(a), and the rule say (b-1)V, while the
+        # counts from height 2 on stay as they are
+        real = stability._count
+        monkeypatch.setattr(stability, "_count", lambda a, b: real(a, b) + (b == 1))
         with pytest.raises(InvariantError, match="shape rule disagrees"):
             stable_shape(807)
 
@@ -136,17 +134,6 @@ class TestStableShape:
         for a in (2, 5, 10, 1):
             with pytest.raises(ValueError):
                 stable_shape(a)
-
-
-class TestBudget:
-    def test_a_budget_below_one_digit_is_refused_before_any_class_branch(self):
-        # the first five answered from a closed form or a shortcut before the check
-        calls = (lambda: stable_count(0, 3, -1), lambda: stable_count(6, 2, -1), lambda: stable_ratio(1, 3, -1),
-                 lambda: min_height(7, 0, -1), lambda: stable_count(20, 2, 0), lambda: stable_count(7, 5, -1),
-                 lambda: stable_shape(7, -1), lambda: stable_ratio(7, 2, 0), lambda: min_height(7, 10, -1))
-        for call in calls:
-            with pytest.raises(ValueError, match=r"^budget must be at least 1 digit, got (-1|0)$"):
-                call()
 
 
 class TestStableCount:
@@ -194,14 +181,17 @@ class TestStableCount:
 
 def check_count_agrees_with_min_height(a: int) -> None:
     """stable_count is exact at heights 1..bbar+2, equals the certified run,
-    lies in the paper's bracket below bbar, and min_height(a, t) is the least
-    height whose count reaches t, at every target where that height changes."""
+    says in its label whether b is below bbar, lies in the paper's bracket
+    below bbar, and min_height(a, t) is the least height whose count reaches
+    t, at every target where that height changes."""
     seq = certified_sequence(a)
     bbar = seq.stabilized_at
     counts = [stable_count(a, b) for b in range(1, bbar + 3)]
     assert {c.kind for c in counts} == {"exact"}, a
     values = [c.value for c in counts]
     assert values[: bbar + 1] == seq.frozen_prefix[: bbar + 1], a
+    below = [b < bbar for b in range(1, bbar + 3)]
+    assert [c.formula_id == "valuation lines (b < bbar)" for c in counts] == below, a
     for b in range(2, bbar):
         bracket = stable_bounds(a, b)
         assert bracket.lower <= values[b - 1] <= bracket.upper, (a, b)
@@ -248,6 +238,44 @@ class TestTailPastTheRun:
                 check_tail_past_the_run(a)
 
 
+def check_count_matches_the_oracle(a: int, heights: int, budget: int = DEFAULT_BUDGET) -> None:
+    want = speed_sequence(a, heights, budget).frozen_prefix
+    assert [stability._count(a, b) for b in range(1, heights + 1)] == want, a
+
+
+class TestValuationLines:
+    """_count, two valuation lines capped at the tower's length, against the
+    oracle's measured counts up to two heights past the certified height."""
+
+    def test_small_bases(self):
+        for a in range(2, 5001):
+            if a % 10:
+                check_count_matches_the_oracle(a, _certified_height(a) + 2)
+
+    @pytest.mark.parametrize("speed", [10, 20])
+    @pytest.mark.parametrize("five", [True, False])
+    @pytest.mark.parametrize("r20", sorted(CLASS_LABEL))
+    def test_planted_coprime_bases(self, r20, five, speed):
+        a = planted_base(r20, speed, five)
+        check_count_matches_the_oracle(a, _certified_height(a) + 2)
+
+    @pytest.mark.parametrize("speed", [10, 20])
+    @pytest.mark.parametrize("r20", NONCOPRIME_R20)
+    def test_planted_noncoprime_bases(self, r20, speed):
+        a = planted_noncoprime(r20, speed)
+        check_count_matches_the_oracle(a, _certified_height(a) + 2)
+
+    def test_a_speed_400_base_at_its_first_heights(self):
+        check_count_matches_the_oracle(planted_base(3, 400, True), 6, budget=2**13)
+
+    def test_any_speed_and_any_height(self):
+        # 10^3000 + 1: w2 = w5 = 3000, and every count from height 2 on is (b+1)V
+        a = 10**3000 + 1
+        assert [stable_count(a, b).value for b in (1, 2, 3, 10**9)] == [3001, 9000, 12000, 3000 * (10**9 + 1)]
+        assert min_height(a, 10**6).height == 333
+        assert stable_shape(a) is StableShape.B_PLUS_1_V
+
+
 class TestStableRatio:
     def test_reference_values(self):
         assert stable_ratio(2, 4) == Fraction(2, 5)
@@ -270,14 +298,10 @@ class TestStableRatio:
         got = stable_ratio(163574218751, 2)
         assert got.numerator == 31
 
-    def test_the_budget_bounds_only_the_count_it_reads(self):
-        # the height-2 count, not a certified run to height speed_bound + 3 = 14
-        assert stable_ratio(6907922943, 2, budget=64) == Fraction(11, 67969454232)
-        # a measured count of 66 digits needs more than 64, closed form or not
-        a = 5**22 + 1
-        assert stable_ratio(a, 2) == Fraction(22, 12220811919683155)
-        with pytest.raises(NeedsLargerBudget):
-            stable_ratio(a, 2, budget=64)
+    def test_the_count_is_read_at_its_own_height(self):
+        # the height-2 count alone, with no run to height speed_bound + 3 = 14
+        assert stable_ratio(6907922943, 2) == Fraction(11, 67969454232)
+        assert stable_ratio(5**22 + 1, 2) == Fraction(22, 12220811919683155)
 
     def test_not_representable(self):
         with pytest.raises(TowerNotRepresentable):
@@ -356,6 +380,14 @@ class TestMinHeight:
             assert stable_digit_count(a, h) >= target
             if h > 1:
                 assert stable_digit_count(a, h - 1) < target
+
+    @pytest.mark.parametrize("a", [2, 3, 5, 7, 11, 24, 163574218751, 10**90 + 1])
+    def test_targets_past_a_machine_word(self, a):
+        # past the run's top height the least height is a division, not a
+        # search over a range as long as the target
+        for target in (2**63, 10**20, 10**40 + 7):
+            h = min_height(a, target).height
+            assert stable_count(a, h).value >= target > stable_count(a, h - 1).value, (a, target)
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
