@@ -61,12 +61,15 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from contextlib import contextmanager
 
 INFINITY = math.inf
-# the largest precision, in digits, the oracle may double up to; it and the
+# the largest precision, in digits, of the oracle's one pass; it and the
 # errors below live here so that cli can use them without importing the oracle
 DEFAULT_BUDGET = 8192
+_LIFT_LOCK = threading.Lock()
+_lift = [0, 0]  # callers inside _no_str_digits_limit, and the limit the first one saved
 
 
 class InvariantError(RuntimeError):
@@ -164,13 +167,20 @@ def _v10(d: int) -> int | float:
 
 @contextmanager
 def _no_str_digits_limit():
-    """Lift CPython's limit on int <-> str conversion, restoring it on exit."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    """Lift CPython's limit on int <-> str conversion, process-wide while any caller
+    in any thread is inside: the first entry saves and lifts it, the last exit restores it."""
+    with _LIFT_LOCK:
+        if not _lift[0]:
+            _lift[1] = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        _lift[0] += 1
     try:
         yield
     finally:
-        sys.set_int_max_str_digits(limit)
+        with _LIFT_LOCK:
+            _lift[0] -= 1
+            if not _lift[0]:
+                sys.set_int_max_str_digits(_lift[1])
 
 
 def _tower_of(a: int, b: int) -> str:

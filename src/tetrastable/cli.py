@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", help="also write the JSON report to PATH")
         if budget:  # only the commands that run the oracle
             p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                           help="largest precision, in digits, the oracle may double up to "
+                           help="largest precision, in digits, of the oracle's one pass "
                                 "(it bounds digits, not time)")
 
     p = sub.add_parser("speed", help="constant congruence speed of a base")

@@ -27,7 +27,6 @@ from .arith import (
     tower_value_capped,
 )
 
-_START_DIGITS = 64
 _MACHINE_RANGE = 1 << 63
 
 
@@ -81,13 +80,13 @@ def _check_budget(budget: int) -> None:
 
 
 def _stable_counts(a: int, heights: int, budget: int) -> list[int]:
-    """Counts for b = 1..H, H = heights, from one pass at the least ladder
-    value n = 64, 128, 256, ... above the floor v10(D_(H+1)), D_b = T_b -
-    T_(b-1) (arith._difference_valuation).  A pass at n fails exactly when
-    v10(D_(b+1)) >= n for some b <= H, and v10(D_b) never falls in b, so with
-    the floor exact that pass certifies every count; a failed one is an
-    InvariantError.  Read exact up to budget and infinite above, the floor
-    raises NeedsLargerBudget before any pass, as doubling from 64 would.
+    """Counts for b = 1..H, H = heights, from one pass at n = max(f + 1, 2)
+    digits, f the floor v10(D_(H+1)), D_b = T_b - T_(b-1)
+    (arith._difference_valuation).  n is the least precision that certifies:
+    a pass at n fails exactly when v10(D_(b+1)) >= n for some b <= H, v10(D_b)
+    never falls as b grows, and the walk needs n >= 2.  With the floor exact,
+    a failed pass is an InvariantError.  Read exact up to budget and infinite
+    above, the floor raises NeedsLargerBudget before any pass when n > budget.
     """
     _check_budget(budget)
     if a == 0:
@@ -97,9 +96,7 @@ def _stable_counts(a: int, heights: int, budget: int) -> list[int]:
     if a % 10 == 0:
         return [_trailing_zero_count(a, b) for b in range(1, heights + 1)]
     floor = _difference_valuation(a, heights + 1, budget)
-    ndigits = _START_DIGITS
-    while ndigits <= min(floor, budget):
-        ndigits *= 2
+    ndigits = max(floor + 1, 2)
     if ndigits > budget:
         raise NeedsLargerBudget(a, heights, budget)
     counts = _counts_at_precision(a, heights, ndigits)

@@ -300,20 +300,16 @@ def reference_tier(a: int) -> str:
     return "V=2"
 
 
-def plant(r20: int, length: int, five: bool) -> int:
-    """The class constant of a coprime residue mod 20 truncated to `length`
-    digits, then a digit at position length + 1 that differs from the
-    constant's by 5 or by 1 (mod 10): the key digit, with |s_l - alpha[l]| = 5
-    or not."""
-    alpha = crt_fifth_power_root(CLASS_LABEL[r20], length + 1)
-    d = alpha // 10**length
-    return alpha % 10**length + (d + (5 if five else 1)) % 10 * 10**length
-
-
 def planted_base(r20: int, speed: int, five: bool) -> int:
-    """A planted base of class r20 whose least slope, its speed, is `speed`."""
+    """A base of class r20 whose least slope, its speed, is `speed`: the class
+    constant of the coprime residue r20 mod 20 truncated to some length l, then
+    a digit at position l + 1 that differs from the constant's by 5 or by 1
+    (mod 10): the key digit, with |s_l - alpha[l]| = 5 or not.  The constant is
+    built once, to the longest length tried plus one digit."""
+    alpha = crt_fifth_power_root(CLASS_LABEL[r20], speed + 7)
     for length in range(speed - 6, speed + 7):
-        a = plant(r20, length, five)
+        d = alpha // 10**length % 10
+        a = alpha % 10**length + (d + (5 if five else 1)) % 10 * 10**length
         if min(naive_slopes(a)) == speed:
             return a
     raise AssertionError(f"no planted base of speed {speed} for residue {r20}")

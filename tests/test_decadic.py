@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -262,4 +263,27 @@ class TestDigitStringsPastTheStrDigitsLimit:
             with _no_str_digits_limit():
                 assert sys.get_int_max_str_digits() == 0
                 raise RuntimeError("boom")
+        assert sys.get_int_max_str_digits() == before
+
+    def test_limit_restored_after_threads_overlap(self):
+        # the limit is process-wide: a thread that saves it while another has
+        # it lifted saves 0, and would restore 0 on its way out
+        before, interval = sys.get_int_max_str_digits(), sys.getswitchinterval()
+        done = []
+
+        def calls():
+            for _ in range(20):
+                alpha_digits(AlphaTag(5, 1), 6000)
+            done.append(True)
+
+        threads = [threading.Thread(target=calls) for _ in range(4)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(done) == 4
         assert sys.get_int_max_str_digits() == before

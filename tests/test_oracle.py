@@ -411,27 +411,21 @@ def passes_run(monkeypatch) -> list[int]:
     return precisions
 
 
-def doubling_reference(a: int, heights: int) -> tuple[int, list[int]]:
-    """The ladder value 64*2^k where plain doubling first certifies the counts
-    of heights 1..heights, and those counts, by the independent pow() walk."""
-    n = 64
-    while (counts := pow_walk_counts(a, heights, n)) is None:
-        n *= 2
-    return n, counts
-
-
 class TestStartingPrecision:
-    """The oracle's floor is exact: it runs one pass, at the precision where
-    doubling from 64 first certifies, with the same counts."""
+    """The oracle's floor is exact: it runs one pass, at the least precision
+    n where the independent pow() walk certifies the counts, with the same
+    counts; at n - 1 that walk fails, unless n is the walk's least, 2."""
 
     def check(self, precisions: list[int], a: int, heights) -> list[int]:
         starts = []
         for h in heights:
             precisions.clear()
             counts = speed_sequence(a, h).frozen_prefix
-            n, want = doubling_reference(a, h)
-            assert precisions == [n] and counts == want, (a, h, precisions, n)
-            starts.append(precisions[0])
+            assert len(precisions) == 1, (a, h, precisions)
+            n = precisions[0]
+            assert counts == pow_walk_counts(a, h, n), (a, h, n)
+            assert n == 2 or pow_walk_counts(a, h, n - 1) is None, (a, h, n)
+            starts.append(n)
         return starts
 
     def test_small_bases(self, monkeypatch):
@@ -477,8 +471,8 @@ class TestStartingPrecision:
 
 
 class TestBudget:
-    """A floor at or above the last ladder value within budget raises before
-    any pass, so the same inputs raise as when the oracle doubled from 64."""
+    """A floor at or above the budget raises before any pass: the pass would
+    need floor + 1 digits."""
 
     def test_a_budget_below_the_floor_raises(self, monkeypatch):
         # 10^90 + 1 at height 93: the floor is 93 * 90 digits at both primes
@@ -507,18 +501,21 @@ class TestBudget:
             assert str(exc.value) == f"stable digits of the height-9003 tower of {a} exceed the 8192-digit budget"
         assert precisions == []
 
-    @pytest.mark.parametrize("budget", [63, 64, 100, 127])
+    @pytest.mark.parametrize("budget", [63, 64, 100, 117, 118, 127])
     def test_budgets_between_ladder_values(self, budget):
-        # 163574218751 needs 128 digits by height 8
-        with pytest.raises(NeedsLargerBudget, match=f"height-8 tower of 163574218751 exceed the {budget}-digit budget"):
-            speed_sequence(163574218751, 8, budget=budget)
-        assert speed_sequence(163574218751, 8, budget=128).frozen_prefix == [12, 31, 46, 61, 76, 91, 104, 117]
+        # 163574218751 needs 118 digits by height 8: its floor is 117
+        a, want = 163574218751, [12, 31, 46, 61, 76, 91, 104, 117]
+        if budget <= 117:
+            with pytest.raises(NeedsLargerBudget, match=f"height-8 tower of {a} exceed the {budget}-digit budget"):
+                speed_sequence(a, 8, budget=budget)
+        else:
+            assert speed_sequence(a, 8, budget=budget).frozen_prefix == want
 
     def test_a_floor_below_the_counts_is_a_failed_check(self, monkeypatch):
-        # the floor is exact, so the one pass it picks must certify: at 64
-        # digits the height-8 count of 163574218751 (117) does not fit
+        # the floor is exact, so the one pass it picks must certify: at 2
+        # digits the height-1 count of 163574218751 (12) does not fit
         monkeypatch.setattr(oracle, "_difference_valuation", lambda a, b, cap: 0)
         precisions = passes_run(monkeypatch)
-        with pytest.raises(InvariantError, match="^the 64-digit pass for 163574218751 to height 8 failed"):
+        with pytest.raises(InvariantError, match="^the 2-digit pass for 163574218751 to height 8 failed"):
             speed_sequence(163574218751, 8)
-        assert precisions == [64]
+        assert precisions == [2]

@@ -275,6 +275,15 @@ class TestValuationLines:
         assert min_height(a, 10**6).height == 333
         assert stable_shape(a) is StableShape.B_PLUS_1_V
 
+    def test_a_planted_speed_3000_base(self):
+        # a 3,000-digit class-11 truncation: w2 = w5 = 3000, and from height 2 on
+        # every count is bV + 1
+        a = planted_base(11, 3000, False)
+        assert stable_count(a, 3).value == 9001
+        assert min_height(a, 10**6).height == 334
+        assert stable_count(a, 333).value < 10**6 <= stable_count(a, 334).value
+        assert stable_shape(a) is StableShape.B_V_PLUS_1
+
 
 class TestStableRatio:
     def test_reference_values(self):
